@@ -152,7 +152,6 @@ double MultiViewTrainer::train(const data::MultiViewDataset& train) {
 std::vector<std::int64_t> MultiViewTrainer::predict(
     const data::MultiViewDataset& ds) {
   MDL_CHECK(ds.size() > 0, "empty dataset");
-  model_.set_training(false);
   std::vector<std::int64_t> out;
   out.reserve(ds.examples.size());
   const std::size_t eval_batch = 64;
@@ -163,10 +162,9 @@ std::vector<std::int64_t> MultiViewTrainer::predict(
     std::vector<std::size_t> idx(end - start);
     std::iota(idx.begin(), idx.end(), start);
     const data::MultiViewBatch batch = data::make_batch(ds, idx);
-    const auto pred = model_.forward(batch.views).argmax_rows();
+    const auto pred = model_.infer(batch.views).argmax_rows();
     out.insert(out.end(), pred.begin(), pred.end());
   }
-  model_.set_training(true);
   return out;
 }
 

@@ -43,9 +43,10 @@ class MultiViewModel {
   /// view_seqs[p] is [T_p, B, dim_p]; returns [B, classes] logits.
   Tensor forward(const std::vector<Tensor>& view_seqs);
 
-  /// Inference-only forward: bit-identical logits to forward() but const and
-  /// cache-free, so one model instance can score concurrent requests
-  /// (the mdl::serve execution path).
+  /// Inference-only forward: every encoder and the fusion head run the same
+  /// compute routine as forward() without a cache sink, so the logits are
+  /// bit-identical to forward() and one model instance can score concurrent
+  /// requests (the mdl::serve execution path).
   Tensor infer(const std::vector<Tensor>& view_seqs) const;
 
   /// Accumulates all gradients from d(loss)/d(logits).

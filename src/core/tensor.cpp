@@ -225,6 +225,33 @@ Tensor Tensor::concat_cols(std::span<const Tensor> parts) {
   return out;
 }
 
+std::vector<Tensor> Tensor::split_cols(
+    std::span<const std::int64_t> widths) const {
+  MDL_CHECK(ndim() == 2, "split_cols needs a 2-D tensor, got " << shape_str());
+  std::int64_t total = 0;
+  for (const std::int64_t w : widths) {
+    MDL_CHECK(w > 0, "split_cols width must be positive, got " << w);
+    total += w;
+  }
+  const std::int64_t rows = shape_[0];
+  const std::int64_t cols = shape_[1];
+  MDL_CHECK(total == cols, "split_cols widths sum to " << total << ", tensor "
+                                                       << shape_str());
+  std::vector<Tensor> parts;
+  parts.reserve(widths.size());
+  std::int64_t off = 0;
+  for (const std::int64_t w : widths) {
+    Tensor part({rows, w});
+    for (std::int64_t r = 0; r < rows; ++r)
+      std::copy(data_.begin() + static_cast<std::ptrdiff_t>(r * cols + off),
+                data_.begin() + static_cast<std::ptrdiff_t>(r * cols + off + w),
+                part.data_.begin() + static_cast<std::ptrdiff_t>(r * w));
+    parts.push_back(std::move(part));
+    off += w;
+  }
+  return parts;
+}
+
 Tensor Tensor::concat_rows(std::span<const Tensor> parts) {
   MDL_CHECK(!parts.empty(), "concat_rows needs at least one tensor");
   const std::int64_t cols = parts.front().shape(1);

@@ -108,6 +108,9 @@ class Tensor {
 
   /// Concatenates 2-D tensors with equal row counts along columns.
   static Tensor concat_cols(std::span<const Tensor> parts);
+  /// Inverse of concat_cols: splits a 2-D tensor into column blocks of the
+  /// given widths, which must be positive and sum to the column count.
+  std::vector<Tensor> split_cols(std::span<const std::int64_t> widths) const;
   /// Concatenates 2-D tensors with equal column counts along rows.
   static Tensor concat_rows(std::span<const Tensor> parts);
 

@@ -65,21 +65,8 @@ Tensor FCFusion::infer(const std::vector<Tensor>& views) const {
 }
 
 std::vector<Tensor> FCFusion::backward(const Tensor& grad_logits) {
-  Tensor gh = fc1_.backward(relu_.backward(fc2_.backward(grad_logits)));
-  // Split the concatenated gradient back into per-view slices.
-  std::vector<Tensor> grads;
-  grads.reserve(view_dims_.size());
-  const std::int64_t batch = gh.shape(0);
-  std::int64_t off = 0;
-  for (std::int64_t d : view_dims_) {
-    Tensor g({batch, d});
-    for (std::int64_t b = 0; b < batch; ++b)
-      for (std::int64_t i = 0; i < d; ++i)
-        g[b * d + i] = gh[b * gh.shape(1) + off + i];
-    grads.push_back(std::move(g));
-    off += d;
-  }
-  return grads;
+  return fc1_.backward(relu_.backward(fc2_.backward(grad_logits)))
+      .split_cols(view_dims_);
 }
 
 std::vector<Parameter*> FCFusion::parameters() {
@@ -118,39 +105,18 @@ FactorizationMachineLayer::FactorizationMachineLayer(
 Tensor FactorizationMachineLayer::forward(const std::vector<Tensor>& views) {
   check_views(views);
   cached_h_ = Tensor::concat_cols(views);
-  const std::int64_t batch = cached_h_.shape(0);
-  const std::int64_t d = total_dim_;
-  const std::int64_t k = factors_;
-
-  cached_q_ = Tensor({batch, classes_, k});
-  Tensor y({batch, classes_});
-  for (std::int64_t b = 0; b < batch; ++b) {
-    const float* h = cached_h_.data() + b * d;
-    for (std::int64_t a = 0; a < classes_; ++a) {
-      const float* ua = u_.value.data() + a * k * d;
-      const float* wa = w_.value.data() + a * (d + 1);
-      double score = wa[d];  // global bias
-      for (std::int64_t i = 0; i < d; ++i) score += wa[i] * h[i];
-      float* q = cached_q_.data() + (b * classes_ + a) * k;
-      for (std::int64_t j = 0; j < k; ++j) {
-        double acc = 0.0;
-        const float* uaj = ua + j * d;
-        for (std::int64_t i = 0; i < d; ++i) acc += uaj[i] * h[i];
-        q[j] = static_cast<float>(acc);
-        score += acc * acc;
-      }
-      y[b * classes_ + a] = static_cast<float>(score);
-    }
-  }
-  return y;
+  cached_q_ = Tensor({cached_h_.shape(0), classes_, factors_});
+  return compute(cached_h_, &cached_q_);
 }
 
 Tensor FactorizationMachineLayer::infer(
     const std::vector<Tensor>& views) const {
   check_views(views);
-  // Mirror forward() term-for-term (same double accumulators) with the
-  // per-batch caches replaced by locals.
-  const Tensor hcat = Tensor::concat_cols(views);
+  return compute(Tensor::concat_cols(views), nullptr);
+}
+
+Tensor FactorizationMachineLayer::compute(const Tensor& hcat,
+                                          Tensor* q_sink) const {
   const std::int64_t batch = hcat.shape(0);
   const std::int64_t d = total_dim_;
   const std::int64_t k = factors_;
@@ -163,10 +129,14 @@ Tensor FactorizationMachineLayer::infer(
       const float* wa = w_.value.data() + a * (d + 1);
       double score = wa[d];  // global bias
       for (std::int64_t i = 0; i < d; ++i) score += wa[i] * h[i];
+      float* q = q_sink != nullptr
+                     ? q_sink->data() + (b * classes_ + a) * k
+                     : nullptr;
       for (std::int64_t j = 0; j < k; ++j) {
         double acc = 0.0;
         const float* uaj = ua + j * d;
         for (std::int64_t i = 0; i < d; ++i) acc += uaj[i] * h[i];
+        if (q != nullptr) q[j] = static_cast<float>(acc);
         score += acc * acc;
       }
       y[b * classes_ + a] = static_cast<float>(score);
@@ -214,18 +184,7 @@ std::vector<Tensor> FactorizationMachineLayer::backward(
     }
   }
 
-  std::vector<Tensor> grads;
-  grads.reserve(view_dims_.size());
-  std::int64_t off = 0;
-  for (std::int64_t vd : view_dims_) {
-    Tensor g({batch, vd});
-    for (std::int64_t b = 0; b < batch; ++b)
-      for (std::int64_t i = 0; i < vd; ++i)
-        g[b * vd + i] = gh[b * d + off + i];
-    grads.push_back(std::move(g));
-    off += vd;
-  }
-  return grads;
+  return gh.split_cols(view_dims_);
 }
 
 std::vector<Parameter*> FactorizationMachineLayer::parameters() {
@@ -263,58 +222,24 @@ MultiviewMachineLayer::MultiviewMachineLayer(
 Tensor MultiviewMachineLayer::forward(const std::vector<Tensor>& views) {
   check_views(views);
   cached_views_ = views;
-  const std::int64_t batch = views.front().shape(0);
-  const std::int64_t k = factors_;
-  const std::int64_t m = num_views();
-
-  cached_q_.assign(static_cast<std::size_t>(m), Tensor());
-  for (std::int64_t p = 0; p < m; ++p) {
-    const std::int64_t dp = view_dims_[static_cast<std::size_t>(p)];
-    Tensor q({batch, classes_, k});
-    const Tensor& uv = u_[static_cast<std::size_t>(p)].value;
-    const Tensor& h = views[static_cast<std::size_t>(p)];
-    for (std::int64_t b = 0; b < batch; ++b) {
-      const float* hb = h.data() + b * dp;
-      for (std::int64_t a = 0; a < classes_; ++a) {
-        const float* ua = uv.data() + a * k * (dp + 1);
-        float* qba = q.data() + (b * classes_ + a) * k;
-        for (std::int64_t j = 0; j < k; ++j) {
-          const float* uaj = ua + j * (dp + 1);
-          double acc = uaj[dp];  // appended-1 bias input
-          for (std::int64_t i = 0; i < dp; ++i) acc += uaj[i] * hb[i];
-          qba[j] = static_cast<float>(acc);
-        }
-      }
-    }
-    cached_q_[static_cast<std::size_t>(p)] = std::move(q);
-  }
-
-  Tensor y({batch, classes_});
-  for (std::int64_t b = 0; b < batch; ++b) {
-    for (std::int64_t a = 0; a < classes_; ++a) {
-      double score = 0.0;
-      for (std::int64_t j = 0; j < k; ++j) {
-        double prod = 1.0;
-        for (std::int64_t p = 0; p < m; ++p)
-          prod *= cached_q_[static_cast<std::size_t>(p)]
-                           [(b * classes_ + a) * k + j];
-        score += prod;
-      }
-      y[b * classes_ + a] = static_cast<float>(score);
-    }
-  }
-  return y;
+  return compute(views, cached_q_);
 }
 
 Tensor MultiviewMachineLayer::infer(const std::vector<Tensor>& views) const {
   check_views(views);
+  std::vector<Tensor> q;
+  return compute(views, q);
+}
+
+Tensor MultiviewMachineLayer::compute(const std::vector<Tensor>& views,
+                                      std::vector<Tensor>& q) const {
   const std::int64_t batch = views.front().shape(0);
   const std::int64_t k = factors_;
   const std::int64_t m = num_views();
 
-  // Mirror forward(): q is materialized per view in float32 first, then the
-  // cross-view products multiply those float values in double.
-  std::vector<Tensor> q(static_cast<std::size_t>(m));
+  // q is materialized per view in float32 first; the cross-view products
+  // then multiply those float values in double.
+  q.assign(static_cast<std::size_t>(m), Tensor());
   for (std::int64_t p = 0; p < m; ++p) {
     const std::int64_t dp = view_dims_[static_cast<std::size_t>(p)];
     Tensor qp({batch, classes_, k});

@@ -39,9 +39,11 @@ class FusionLayer {
   /// returns d(loss)/d(view_p) for every view.
   virtual std::vector<Tensor> backward(const Tensor& grad_logits) = 0;
 
-  /// Inference-only forward: bit-identical to forward() (same float32
-  /// accumulation order) but const and cache-free, so one fusion head can
-  /// score concurrent batches — the mdl::serve execution path.
+  /// Inference-only forward. Each head runs one compute routine for both
+  /// methods; forward() passes it a cache sink for backward(), infer()
+  /// passes none, so infer() is const and bit-identical to forward(), and
+  /// one fusion head can score concurrent batches (the mdl::serve
+  /// execution path).
   virtual Tensor infer(const std::vector<Tensor>& views) const = 0;
 
   virtual std::vector<Parameter*> parameters() = 0;
@@ -104,6 +106,11 @@ class FactorizationMachineLayer : public FusionLayer {
   std::int64_t factors() const { return factors_; }
 
  private:
+  /// Eq. (3) over the concatenated views [batch, total_dim]; writes the
+  /// per-class factor projections to `q_sink` [batch, classes, factors]
+  /// when it is non-null.
+  Tensor compute(const Tensor& hcat, Tensor* q_sink) const;
+
   std::int64_t factors_;
   std::int64_t total_dim_;
   Parameter u_;  // [classes, factors, total_dim]
@@ -129,6 +136,11 @@ class MultiviewMachineLayer : public FusionLayer {
   std::int64_t factors() const { return factors_; }
 
  private:
+  /// Eq. (4); leaves the per-view projections in `q` (one [batch, classes,
+  /// factors] tensor per view): forward() passes its cache, infer() a local.
+  Tensor compute(const std::vector<Tensor>& views,
+                 std::vector<Tensor>& q) const;
+
   std::int64_t factors_;
   std::vector<Parameter> u_;       // per view: [classes, factors, dim_p + 1]
   std::vector<Tensor> cached_views_;

@@ -7,9 +7,7 @@ namespace mdl::nn {
 
 Tensor ReLU::forward(const Tensor& x) {
   cached_input_ = x;
-  Tensor y = x;
-  for (std::int64_t i = 0; i < y.size(); ++i) y[i] = std::max(0.0F, y[i]);
-  return y;
+  return infer(x);
 }
 
 Tensor ReLU::infer(const Tensor& x) const {
@@ -36,10 +34,8 @@ float sigmoid_scalar(float x) {
 }
 
 Tensor Sigmoid::forward(const Tensor& x) {
-  Tensor y = x;
-  for (std::int64_t i = 0; i < y.size(); ++i) y[i] = sigmoid_scalar(y[i]);
-  cached_output_ = y;
-  return y;
+  cached_output_ = infer(x);
+  return cached_output_;
 }
 
 Tensor Sigmoid::infer(const Tensor& x) const { return sigmoid(x); }
@@ -55,10 +51,8 @@ Tensor Sigmoid::backward(const Tensor& grad_out) {
 }
 
 Tensor Tanh::forward(const Tensor& x) {
-  Tensor y = x;
-  for (std::int64_t i = 0; i < y.size(); ++i) y[i] = std::tanh(y[i]);
-  cached_output_ = y;
-  return y;
+  cached_output_ = infer(x);
+  return cached_output_;
 }
 
 Tensor Tanh::infer(const Tensor& x) const { return tanh_t(x); }

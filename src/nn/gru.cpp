@@ -1,6 +1,6 @@
 #include "nn/gru.hpp"
 
-#include <cmath>
+#include <array>
 #include <sstream>
 
 #include "nn/activations.hpp"
@@ -47,57 +47,44 @@ GRUCell::GRUCell(std::int64_t input_size, std::int64_t hidden_size, Rng& rng)
 }
 
 Tensor GRUCell::step(const Tensor& x, const Tensor& h_prev) {
-  MDL_CHECK(x.ndim() == 2 && x.shape(1) == input_size_,
-            "GRU step input " << x.shape_str());
-  MDL_CHECK(h_prev.ndim() == 2 && h_prev.shape(1) == hidden_size_ &&
-                h_prev.shape(0) == x.shape(0),
-            "GRU step hidden " << h_prev.shape_str());
-
   StepCache c;
-  c.x = x;
-  c.h_prev = h_prev;
-  c.r = sigmoid(gate_preact(x, w_r_.value, h_prev, u_r_.value, b_r_.value));
-  c.z = sigmoid(gate_preact(x, w_z_.value, h_prev, u_z_.value, b_z_.value));
-  c.rh = c.r;
-  c.rh.mul_(h_prev);
-  c.h_cand =
-      tanh_t(gate_preact(x, w_h_.value, c.rh, u_h_.value, b_h_.value));
-
-  // h = z ⊙ h_prev + (1 - z) ⊙ h~
-  Tensor h = c.z;
-  h.mul_(h_prev);
-  Tensor rest = c.h_cand;
-  for (std::int64_t i = 0; i < rest.size(); ++i)
-    rest[i] *= 1.0F - c.z[i];
-  h.add_(rest);
-
+  Tensor h = compute_step(x, h_prev, &c);
   cache_.push_back(std::move(c));
   return h;
 }
 
 Tensor GRUCell::step_infer(const Tensor& x, const Tensor& h_prev) const {
+  return compute_step(x, h_prev, nullptr);
+}
+
+Tensor GRUCell::compute_step(const Tensor& x, const Tensor& h_prev,
+                             StepCache* sink) const {
   MDL_CHECK(x.ndim() == 2 && x.shape(1) == input_size_,
             "GRU step input " << x.shape_str());
   MDL_CHECK(h_prev.ndim() == 2 && h_prev.shape(1) == hidden_size_ &&
                 h_prev.shape(0) == x.shape(0),
             "GRU step hidden " << h_prev.shape_str());
 
-  // Mirror step() operation-for-operation so the two stay bit-identical.
-  const Tensor r =
+  Tensor r =
       sigmoid(gate_preact(x, w_r_.value, h_prev, u_r_.value, b_r_.value));
-  const Tensor z =
+  Tensor z =
       sigmoid(gate_preact(x, w_z_.value, h_prev, u_z_.value, b_z_.value));
-  Tensor rh = r;
+  Tensor rh = r;  // r ⊙ h_prev
   rh.mul_(h_prev);
-  const Tensor h_cand =
+  Tensor h_cand =
       tanh_t(gate_preact(x, w_h_.value, rh, u_h_.value, b_h_.value));
 
+  // h = z ⊙ h_prev + (1 - z) ⊙ h~
   Tensor h = z;
   h.mul_(h_prev);
   Tensor rest = h_cand;
   for (std::int64_t i = 0; i < rest.size(); ++i)
     rest[i] *= 1.0F - z[i];
   h.add_(rest);
+
+  if (sink != nullptr)
+    *sink = {x, h_prev, std::move(r), std::move(z), std::move(h_cand),
+             std::move(rh)};
   return h;
 }
 
@@ -172,34 +159,28 @@ GRU::GRU(std::int64_t input_size, std::int64_t hidden_size, Rng& rng)
     : cell_(input_size, hidden_size, rng) {}
 
 Tensor GRU::forward(const Tensor& sequence) {
-  MDL_CHECK(sequence.ndim() == 3 && sequence.shape(2) == cell_.input_size(),
-            "GRU expects [T, B, " << cell_.input_size() << "], got "
-                                  << sequence.shape_str());
-  const std::int64_t t_len = sequence.shape(0);
-  const std::int64_t batch = sequence.shape(1);
-  MDL_CHECK(t_len > 0, "GRU needs at least one time step");
-  last_t_ = t_len;
-  last_batch_ = batch;
-
-  cell_.clear_cache();
-  hidden_seq_ = Tensor({t_len, batch, cell_.hidden_size()});
-  Tensor h({batch, cell_.hidden_size()});
-  for (std::int64_t t = 0; t < t_len; ++t) {
-    h = cell_.step(sequence.time_step(t), h);
-    hidden_seq_.set_time_step(t, h);
-  }
+  Tensor h = run(sequence, &cell_);
+  last_t_ = sequence.shape(0);
+  last_batch_ = sequence.shape(1);
   return h;
 }
 
 Tensor GRU::infer(const Tensor& sequence) const {
+  return run(sequence, nullptr);
+}
+
+Tensor GRU::run(const Tensor& sequence, GRUCell* recorder) const {
   MDL_CHECK(sequence.ndim() == 3 && sequence.shape(2) == cell_.input_size(),
             "GRU expects [T, B, " << cell_.input_size() << "], got "
                                   << sequence.shape_str());
   const std::int64_t t_len = sequence.shape(0);
   MDL_CHECK(t_len > 0, "GRU needs at least one time step");
+  if (recorder != nullptr) recorder->clear_cache();
   Tensor h({sequence.shape(1), cell_.hidden_size()});
-  for (std::int64_t t = 0; t < t_len; ++t)
-    h = cell_.step_infer(sequence.time_step(t), h);
+  for (std::int64_t t = 0; t < t_len; ++t) {
+    const Tensor x = sequence.time_step(t);
+    h = recorder != nullptr ? recorder->step(x, h) : cell_.step_infer(x, h);
+  }
   return h;
 }
 
@@ -243,33 +224,22 @@ Tensor BiGRU::reverse_time(const Tensor& seq) {
 }
 
 Tensor BiGRU::forward(const Tensor& sequence) {
-  const Tensor h_fwd = fwd_.forward(sequence);
-  const Tensor h_bwd = bwd_.forward(reverse_time(sequence));
-  const std::vector<Tensor> parts{h_fwd, h_bwd};
-  return Tensor::concat_cols(parts);
+  return Tensor::concat_cols(std::array{
+      fwd_.forward(sequence), bwd_.forward(reverse_time(sequence))});
 }
 
 Tensor BiGRU::infer(const Tensor& sequence) const {
-  const Tensor h_fwd = fwd_.infer(sequence);
-  const Tensor h_bwd = bwd_.infer(reverse_time(sequence));
-  const std::vector<Tensor> parts{h_fwd, h_bwd};
-  return Tensor::concat_cols(parts);
+  return Tensor::concat_cols(std::array{
+      fwd_.infer(sequence), bwd_.infer(reverse_time(sequence))});
 }
 
 Tensor BiGRU::backward(const Tensor& grad_hidden) {
   const std::int64_t h = fwd_.hidden_size();
   MDL_CHECK(grad_hidden.ndim() == 2 && grad_hidden.shape(1) == 2 * h,
             "BiGRU backward grad " << grad_hidden.shape_str());
-  const std::int64_t batch = grad_hidden.shape(0);
-  Tensor g_fwd({batch, h});
-  Tensor g_bwd({batch, h});
-  for (std::int64_t n = 0; n < batch; ++n)
-    for (std::int64_t j = 0; j < h; ++j) {
-      g_fwd[n * h + j] = grad_hidden[n * 2 * h + j];
-      g_bwd[n * h + j] = grad_hidden[n * 2 * h + h + j];
-    }
-  Tensor grad_in = fwd_.backward(g_fwd);
-  grad_in.add_(reverse_time(bwd_.backward(g_bwd)));
+  const std::vector<Tensor> g = grad_hidden.split_cols(std::array{h, h});
+  Tensor grad_in = fwd_.backward(g[0]);
+  grad_in.add_(reverse_time(bwd_.backward(g[1])));
   return grad_in;
 }
 

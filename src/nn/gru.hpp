@@ -19,7 +19,8 @@
 
 namespace mdl::nn {
 
-/// One GRU step with cached activations for BPTT.
+/// One GRU step. step() and step_infer() run the same compute routine;
+/// step() hands it a cache sink for BPTT, step_infer() does not.
 class GRUCell {
  public:
   GRUCell(std::int64_t input_size, std::int64_t hidden_size, Rng& rng);
@@ -29,8 +30,8 @@ class GRUCell {
   /// clear_cache()).
   Tensor step(const Tensor& x, const Tensor& h_prev);
 
-  /// Inference-only step: the exact float32 chain of step() with no cache
-  /// mutation, safe for concurrent use (mdl::serve batch execution).
+  /// The same step with no cache: const, so safe for concurrent use
+  /// (mdl::serve batch execution). Bit-identical to step().
   Tensor step_infer(const Tensor& x, const Tensor& h_prev) const;
 
   /// Backward through the most recent un-popped step. `grad_h` is
@@ -52,6 +53,11 @@ class GRUCell {
     Tensor x, h_prev, r, z, h_cand, rh;  // rh = r ⊙ h_prev
   };
 
+  /// Eq. (1) for one step. Fills `sink` (when non-null) with what
+  /// step_backward() needs; without a sink it copies nothing.
+  Tensor compute_step(const Tensor& x, const Tensor& h_prev,
+                      StepCache* sink) const;
+
   std::int64_t input_size_;
   std::int64_t hidden_size_;
   // Gate weights: W_* [H, I] act on x; U_* [H, H] act on h.
@@ -70,15 +76,10 @@ class GRU : public Module {
 
   Tensor forward(const Tensor& sequence) override;
   Tensor backward(const Tensor& grad_last_hidden) override;
-  /// [T, B, I] -> final hidden [B, H], bit-identical to forward() but const
-  /// and cache-free (does not update hidden_sequence()).
   Tensor infer(const Tensor& sequence) const override;
   std::vector<Parameter*> parameters() override;
   std::string name() const override;
   std::int64_t flops_per_example() const override;
-
-  /// Hidden states at every step from the most recent forward: [T, B, H].
-  const Tensor& hidden_sequence() const { return hidden_seq_; }
 
   std::int64_t input_size() const { return cell_.input_size(); }
   std::int64_t hidden_size() const { return cell_.hidden_size(); }
@@ -88,8 +89,12 @@ class GRU : public Module {
   void set_nominal_seq_len(std::int64_t t) { nominal_seq_len_ = t; }
 
  private:
+  /// The step loop shared by forward() and infer(). With a `recorder`
+  /// (forward passes &cell_) every step is cached for BPTT; without one
+  /// the loop only computes.
+  Tensor run(const Tensor& sequence, GRUCell* recorder) const;
+
   GRUCell cell_;
-  Tensor hidden_seq_;  // [T, B, H]
   std::int64_t last_t_ = 0;
   std::int64_t last_batch_ = 0;
   std::int64_t nominal_seq_len_ = 1;

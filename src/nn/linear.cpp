@@ -17,12 +17,8 @@ Linear::Linear(std::int64_t in_features, std::int64_t out_features, Rng& rng,
 }
 
 Tensor Linear::forward(const Tensor& x) {
-  MDL_CHECK(x.ndim() == 2 && x.shape(1) == in_,
-            "Linear(" << in_ << "->" << out_ << ") got input "
-                      << x.shape_str());
+  Tensor y = infer(x);
   cached_input_ = x;
-  Tensor y = matmul_nt(x, weight_.value);  // [B, out]
-  if (has_bias_) add_row_broadcast(y, bias_.value);
   return y;
 }
 
@@ -30,7 +26,7 @@ Tensor Linear::infer(const Tensor& x) const {
   MDL_CHECK(x.ndim() == 2 && x.shape(1) == in_,
             "Linear(" << in_ << "->" << out_ << ") got input "
                       << x.shape_str());
-  Tensor y = matmul_nt(x, weight_.value);  // same chain as forward()
+  Tensor y = matmul_nt(x, weight_.value);  // [B, out]
   if (has_bias_) add_row_broadcast(y, bias_.value);
   return y;
 }

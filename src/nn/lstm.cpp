@@ -46,53 +46,35 @@ LSTMCell::LSTMCell(std::int64_t input_size, std::int64_t hidden_size,
 std::pair<Tensor, Tensor> LSTMCell::step(const Tensor& x,
                                          const Tensor& h_prev,
                                          const Tensor& c_prev) {
-  MDL_CHECK(x.ndim() == 2 && x.shape(1) == input_size_,
-            "LSTM step input " << x.shape_str());
-  MDL_CHECK(h_prev.same_shape(c_prev) && h_prev.shape(0) == x.shape(0) &&
-                h_prev.shape(1) == hidden_size_,
-            "LSTM step state shapes");
-
   StepCache cache;
-  cache.x = x;
-  cache.h_prev = h_prev;
-  cache.c_prev = c_prev;
-  cache.i = sigmoid(gate_preact(x, w_i_.value, h_prev, u_i_.value, b_i_.value));
-  cache.f = sigmoid(gate_preact(x, w_f_.value, h_prev, u_f_.value, b_f_.value));
-  cache.o = sigmoid(gate_preact(x, w_o_.value, h_prev, u_o_.value, b_o_.value));
-  cache.g = tanh_t(gate_preact(x, w_g_.value, h_prev, u_g_.value, b_g_.value));
-
-  Tensor c = cache.f;
-  c.mul_(c_prev);
-  Tensor ig = cache.i;
-  ig.mul_(cache.g);
-  c.add_(ig);
-  cache.c = c;
-  cache.tanh_c = tanh_t(c);
-
-  Tensor h = cache.o;
-  h.mul_(cache.tanh_c);
-
+  auto hc = compute_step(x, h_prev, c_prev, &cache);
   cache_.push_back(std::move(cache));
-  return {std::move(h), std::move(c)};
+  return hc;
 }
 
 std::pair<Tensor, Tensor> LSTMCell::step_infer(const Tensor& x,
                                                const Tensor& h_prev,
                                                const Tensor& c_prev) const {
+  return compute_step(x, h_prev, c_prev, nullptr);
+}
+
+std::pair<Tensor, Tensor> LSTMCell::compute_step(const Tensor& x,
+                                                 const Tensor& h_prev,
+                                                 const Tensor& c_prev,
+                                                 StepCache* sink) const {
   MDL_CHECK(x.ndim() == 2 && x.shape(1) == input_size_,
             "LSTM step input " << x.shape_str());
   MDL_CHECK(h_prev.same_shape(c_prev) && h_prev.shape(0) == x.shape(0) &&
                 h_prev.shape(1) == hidden_size_,
             "LSTM step state shapes");
 
-  // Mirror step() operation-for-operation so the two stay bit-identical.
-  const Tensor i =
+  Tensor i =
       sigmoid(gate_preact(x, w_i_.value, h_prev, u_i_.value, b_i_.value));
-  const Tensor f =
+  Tensor f =
       sigmoid(gate_preact(x, w_f_.value, h_prev, u_f_.value, b_f_.value));
-  const Tensor o =
+  Tensor o =
       sigmoid(gate_preact(x, w_o_.value, h_prev, u_o_.value, b_o_.value));
-  const Tensor g =
+  Tensor g =
       tanh_t(gate_preact(x, w_g_.value, h_prev, u_g_.value, b_g_.value));
 
   Tensor c = f;
@@ -100,9 +82,14 @@ std::pair<Tensor, Tensor> LSTMCell::step_infer(const Tensor& x,
   Tensor ig = i;
   ig.mul_(g);
   c.add_(ig);
+  Tensor tanh_c = tanh_t(c);
 
   Tensor h = o;
-  h.mul_(tanh_t(c));
+  h.mul_(tanh_c);
+
+  if (sink != nullptr)
+    *sink = {x, h_prev, c_prev, std::move(i), std::move(f), std::move(o),
+             std::move(g), c, std::move(tanh_c)};
   return {std::move(h), std::move(c)};
 }
 
@@ -182,33 +169,30 @@ LSTM::LSTM(std::int64_t input_size, std::int64_t hidden_size, Rng& rng)
     : cell_(input_size, hidden_size, rng) {}
 
 Tensor LSTM::forward(const Tensor& sequence) {
-  MDL_CHECK(sequence.ndim() == 3 && sequence.shape(2) == cell_.input_size(),
-            "LSTM expects [T, B, " << cell_.input_size() << "], got "
-                                   << sequence.shape_str());
-  const std::int64_t t_len = sequence.shape(0);
-  const std::int64_t batch = sequence.shape(1);
-  MDL_CHECK(t_len > 0, "LSTM needs at least one time step");
-  last_t_ = t_len;
-  last_batch_ = batch;
-
-  cell_.clear_cache();
-  Tensor h({batch, cell_.hidden_size()});
-  Tensor c({batch, cell_.hidden_size()});
-  for (std::int64_t t = 0; t < t_len; ++t)
-    std::tie(h, c) = cell_.step(sequence.time_step(t), h, c);
+  Tensor h = run(sequence, &cell_);
+  last_t_ = sequence.shape(0);
+  last_batch_ = sequence.shape(1);
   return h;
 }
 
 Tensor LSTM::infer(const Tensor& sequence) const {
+  return run(sequence, nullptr);
+}
+
+Tensor LSTM::run(const Tensor& sequence, LSTMCell* recorder) const {
   MDL_CHECK(sequence.ndim() == 3 && sequence.shape(2) == cell_.input_size(),
             "LSTM expects [T, B, " << cell_.input_size() << "], got "
                                    << sequence.shape_str());
   const std::int64_t t_len = sequence.shape(0);
   MDL_CHECK(t_len > 0, "LSTM needs at least one time step");
+  if (recorder != nullptr) recorder->clear_cache();
   Tensor h({sequence.shape(1), cell_.hidden_size()});
   Tensor c({sequence.shape(1), cell_.hidden_size()});
-  for (std::int64_t t = 0; t < t_len; ++t)
-    std::tie(h, c) = cell_.step_infer(sequence.time_step(t), h, c);
+  for (std::int64_t t = 0; t < t_len; ++t) {
+    const Tensor x = sequence.time_step(t);
+    std::tie(h, c) = recorder != nullptr ? recorder->step(x, h, c)
+                                         : cell_.step_infer(x, h, c);
+  }
   return h;
 }
 

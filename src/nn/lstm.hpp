@@ -18,16 +18,18 @@
 
 namespace mdl::nn {
 
-/// One LSTM step with cached activations for BPTT.
+/// One LSTM step. step() and step_infer() run the same compute routine;
+/// step() hands it a cache sink for BPTT, step_infer() does not.
 class LSTMCell {
  public:
   LSTMCell(std::int64_t input_size, std::int64_t hidden_size, Rng& rng);
 
-  /// (h_t, c_t) given x_t [B, I], h_{t-1} and c_{t-1} [B, H].
+  /// (h_t, c_t) given x_t [B, I], h_{t-1} and c_{t-1} [B, H]; caches
+  /// activations for this step (one entry per call since clear_cache()).
   std::pair<Tensor, Tensor> step(const Tensor& x, const Tensor& h_prev,
                                  const Tensor& c_prev);
 
-  /// Inference-only step: same float32 chain as step(), no cache mutation.
+  /// The same step with no cache: const and bit-identical to step().
   std::pair<Tensor, Tensor> step_infer(const Tensor& x, const Tensor& h_prev,
                                        const Tensor& c_prev) const;
 
@@ -48,6 +50,12 @@ class LSTMCell {
   struct StepCache {
     Tensor x, h_prev, c_prev, i, f, o, g, c, tanh_c;
   };
+
+  /// One step of the gate equations. Fills `sink` (when non-null) with what
+  /// step_backward() needs; without a sink it copies nothing.
+  std::pair<Tensor, Tensor> compute_step(const Tensor& x, const Tensor& h_prev,
+                                         const Tensor& c_prev,
+                                         StepCache* sink) const;
 
   std::int64_t input_size_;
   std::int64_t hidden_size_;
@@ -75,6 +83,10 @@ class LSTM : public Module {
   void set_nominal_seq_len(std::int64_t t) { nominal_seq_len_ = t; }
 
  private:
+  /// The step loop shared by forward() and infer(); forward passes &cell_
+  /// as `recorder` so every step is cached for BPTT.
+  Tensor run(const Tensor& sequence, LSTMCell* recorder) const;
+
   LSTMCell cell_;
   std::int64_t last_t_ = 0;
   std::int64_t last_batch_ = 0;

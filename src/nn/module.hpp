@@ -32,12 +32,13 @@ class Module {
   /// returns d(loss)/d(input). Must be called at most once per forward.
   virtual Tensor backward(const Tensor& grad_out) = 0;
 
-  /// Inference-only forward: identical math to forward() in inference mode
-  /// (the same canonical float32 accumulation chain, so outputs are
-  /// bit-identical to forward()), but const and cache-free. Safe to call
-  /// concurrently from several threads on one module instance, which is what
-  /// the mdl::serve batch executor relies on. Layers that cannot provide a
-  /// const path (training-only layers) keep the throwing default.
+  /// Inference-only forward. A layer runs one compute routine for both
+  /// methods: forward() passes it a cache sink for backward() (or stores
+  /// its input/output and returns infer()), infer() passes none. So infer()
+  /// is bit-identical to forward() in inference mode, and const: safe to
+  /// call concurrently from several threads on one module instance, which
+  /// is what the mdl::serve batch executor relies on. Layers that cannot
+  /// provide a const path (training-only layers) keep the throwing default.
   virtual Tensor infer(const Tensor& x) const;
 
   /// Pointers to this module's trainable parameters (possibly empty).

@@ -127,6 +127,32 @@ TEST(Tensor, ConcatCols) {
   EXPECT_EQ(c.at(1, 2), 6.0F);
 }
 
+TEST(Tensor, SplitColsInvertsConcatCols) {
+  Rng rng(12);
+  const std::vector<Tensor> parts{Tensor::randn({3, 2}, rng),
+                                  Tensor::randn({3, 5}, rng),
+                                  Tensor::randn({3, 1}, rng)};
+  const std::vector<std::int64_t> widths{2, 5, 1};
+  EXPECT_EQ(Tensor::concat_cols(parts).split_cols(widths), parts);
+  const Tensor whole = Tensor::randn({4, 6}, rng);
+  const std::vector<std::int64_t> single{6};
+  EXPECT_EQ(whole.split_cols(single).front(), whole);
+}
+
+TEST(Tensor, SplitColsRejectsBadWidths) {
+  const Tensor t({2, 4});
+  const std::vector<std::int64_t> short_sum{1, 2};
+  const std::vector<std::int64_t> long_sum{3, 2};
+  const std::vector<std::int64_t> zero{4, 0};
+  const std::vector<std::int64_t> negative{5, -1};
+  const std::vector<std::int64_t> ok{4};
+  EXPECT_THROW(t.split_cols(short_sum), Error);
+  EXPECT_THROW(t.split_cols(long_sum), Error);
+  EXPECT_THROW(t.split_cols(zero), Error);
+  EXPECT_THROW(t.split_cols(negative), Error);
+  EXPECT_THROW(Tensor({8}).split_cols(ok), Error);
+}
+
 TEST(Tensor, ConcatRows) {
   const Tensor a({1, 2}, {1, 2});
   const Tensor b({2, 2}, {3, 4, 5, 6});
