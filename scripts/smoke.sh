@@ -217,7 +217,7 @@ if [[ -z "${MDL_SANITIZE:-}" ]]; then
   for threads in 2 8; do
     TSAN_OPTIONS=halt_on_error=1 MDL_THREADS=$threads \
       "$TSAN_DIR/tests/mdl_tests" \
-      --gtest_filter='ThreadPool*:ParallelFor*:SharedPool*:Gemm*:*GemmEquivalence*:FedFixture*:DpFixture*:Serve*:Flight*:Population*:CodecFederated*'
+      --gtest_filter='ThreadPool*:ParallelFor*:SharedPool*:Gemm*:*GemmEquivalence*:FedFixture*:DpFixture*:Serve*:Flight*:Population*:CodecFederated*:SimFedFixture*:TrainerFixture*'
   done
   # The chaos liveness property under TSan: producers x injected faults x
   # breaker transitions x shutdown, fixed seed for replayability.

@@ -1,6 +1,7 @@
 #include "ckpt/checkpoint.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 
 #include "obs/flight.hpp"
@@ -187,7 +188,8 @@ TrainerGuard::Verdict TrainerGuard::end_of_round(
   health_.reset();
   verdict.rolled_back = true;
   verdict.resume_round = last_good_round_;
-  verdict.lr_scale = health_.config().lr_decay_on_rollback;
+  verdict.lr_scale = std::pow(health_.config().lr_decay_on_rollback,
+                              static_cast<double>(rollbacks_));
   if (rollbacks_ > health_.config().max_rollbacks) {
     MDL_OBS_COUNTER_ADD("health.gave_up", 1);
     verdict.give_up = true;
@@ -201,17 +203,17 @@ void write_state_header(BinaryWriter& w, const std::string& trainer,
   w.write_u32(version);
 }
 
-std::uint32_t read_state_header(BinaryReader& r, const std::string& trainer,
-                                std::uint32_t version) {
+void read_state_header(BinaryReader& r, const std::string& trainer,
+                       std::uint32_t version) {
   const std::string stored = r.read_string();
   MDL_CHECK(stored == trainer, "checkpoint belongs to trainer `"
                                    << stored << "`, expected `" << trainer
                                    << "`");
   const std::uint32_t stored_version = r.read_u32();
-  MDL_CHECK(stored_version >= 1 && stored_version <= version,
+  MDL_CHECK(stored_version == version,
             "unsupported " << trainer << " checkpoint version "
-                           << stored_version);
-  return stored_version;
+                           << stored_version << " (expected " << version
+                           << ")");
 }
 
 }  // namespace mdl::ckpt

@@ -96,7 +96,9 @@ class TrainerGuard {
     bool give_up = false;
     /// After a rollback: the round training resumes *after*.
     std::int64_t resume_round = 0;
-    /// Learning-rate multiplier the trainer must apply after a rollback.
+    /// Learning-rate multiplier the trainer applies after a rollback:
+    /// lr_decay_on_rollback compounded over every rollback so far, so
+    /// repeated trips at the same round replay at strictly smaller rates.
     double lr_scale = 1.0;
   };
 
@@ -126,8 +128,9 @@ class TrainerGuard {
 /// Tags every checkpoint payload: writes the trainer name + state version.
 void write_state_header(BinaryWriter& w, const std::string& trainer,
                         std::uint32_t version);
-/// Validates name/version; returns the stored version (<= `version`).
-std::uint32_t read_state_header(BinaryReader& r, const std::string& trainer,
-                                std::uint32_t version);
+/// Validates the name and requires exactly `version`: a trainer accepts one
+/// state layout, and any other throws.
+void read_state_header(BinaryReader& r, const std::string& trainer,
+                       std::uint32_t version);
 
 }  // namespace mdl::ckpt

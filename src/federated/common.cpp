@@ -12,7 +12,7 @@
 namespace mdl::federated {
 
 namespace {
-// v2 appended `rolled_back`; v1 archives deserialize with the default false.
+// v2 appended `rolled_back`; older records are refused.
 constexpr std::uint32_t kRoundStatsVersion = 2;
 }
 
@@ -36,7 +36,7 @@ void serialize_round_stats(BinaryWriter& w, const RoundStats& s) {
 
 RoundStats deserialize_round_stats(BinaryReader& r) {
   const std::uint32_t version = r.read_u32();
-  MDL_CHECK(version >= 1 && version <= kRoundStatsVersion,
+  MDL_CHECK(version == kRoundStatsVersion,
             "unsupported RoundStats version " << version);
   RoundStats s;
   s.round = r.read_i64();
@@ -52,7 +52,7 @@ RoundStats deserialize_round_stats(BinaryReader& r) {
   s.aborted = r.read_u8() != 0;
   s.sim_latency_s = r.read_f64();
   s.sim_energy_j = r.read_f64();
-  if (version >= 2) s.rolled_back = r.read_u8() != 0;
+  s.rolled_back = r.read_u8() != 0;
   return s;
 }
 

@@ -1,111 +1,48 @@
 #include "federated/fedavg.hpp"
 
-#include <algorithm>
-#include <chrono>
-#include <cmath>
-
-#include "core/threadpool.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/resource.hpp"
 #include "obs/trace.hpp"
-#include "sim/sim_network.hpp"
 
 namespace mdl::federated {
 
 namespace {
-// v2 appended the population fingerprint; v3 the wire-codec flag and the
-// raw-byte ledger columns. v1 archives resume unguarded.
-constexpr std::uint32_t kFedAvgStateVersion = 3;
+// v4: the shared RoundRunner prefix; older archives are refused.
+constexpr std::uint32_t kFedAvgStateVersion = 4;
 }
 
 void FedAvgTrainer::save_state(BinaryWriter& w) const {
-  ckpt::write_state_header(w, "fedavg", kFedAvgStateVersion);
-  w.write_u64(config_.seed);
-  w.write_u8(net_ != nullptr ? 1 : 0);
-  if (net_ != nullptr) w.write_u64(net_->plan().seed);
+  runner_.write_prefix(w, kFedAvgStateVersion);
   w.write_f64(config_.client_lr);
   w.write_f64(config_.server_lr);
-  rng_.serialize(w);
-  w.write_f32_vector(nn::flatten_values(global_->parameters()));
-  w.write_u64(ledger_.bytes_up);
-  w.write_u64(ledger_.bytes_down);
-  w.write_u64(population_->fingerprint());
-  w.write_u8(wire_ != nullptr ? 1 : 0);
-  w.write_u64(ledger_.bytes_up_raw);
-  w.write_u64(ledger_.bytes_down_raw);
+  w.write_f32_vector(nn::flatten_values(runner_.model().parameters()));
 }
 
 void FedAvgTrainer::load_state(BinaryReader& r) {
-  const std::uint32_t stored =
-      ckpt::read_state_header(r, "fedavg", kFedAvgStateVersion);
-  const std::uint64_t seed = r.read_u64();
-  MDL_CHECK(seed == config_.seed, "checkpoint was written with seed "
-                                      << seed << ", run uses "
-                                      << config_.seed);
-  const bool had_net = r.read_u8() != 0;
-  MDL_CHECK(had_net == (net_ != nullptr),
-            "checkpoint and run disagree on fault-network attachment");
-  if (had_net) {
-    const std::uint64_t plan_seed = r.read_u64();
-    MDL_CHECK(plan_seed == net_->plan().seed,
-              "checkpoint fault plan seed " << plan_seed << " vs "
-                                            << net_->plan().seed);
-  }
-  config_.client_lr = r.read_f64();
-  config_.server_lr = r.read_f64();
-  rng_ = Rng::deserialize(r);
-  const std::vector<float> w_global = r.read_f32_vector();
-  MDL_CHECK(static_cast<std::int64_t>(w_global.size()) == model_size_,
-            "checkpoint model has " << w_global.size() << " params, expected "
-                                    << model_size_);
-  nn::unflatten_into_values(w_global, global_->parameters());
-  ledger_.bytes_up = r.read_u64();
-  ledger_.bytes_down = r.read_u64();
-  if (stored >= 2) {
-    const std::uint64_t fp = r.read_u64();
-    MDL_CHECK(fp == population_->fingerprint(),
-              "checkpoint population fingerprint "
-                  << fp << " vs " << population_->fingerprint()
-                  << " — resumed against a different client population");
-  }
-  if (stored >= 3) {
-    const bool had_wire = r.read_u8() != 0;
-    MDL_CHECK(had_wire == (wire_ != nullptr),
-              "checkpoint and run disagree on wire-codec attachment");
-    ledger_.bytes_up_raw = r.read_u64();
-    ledger_.bytes_down_raw = r.read_u64();
-  } else {
-    // Pre-codec archives billed raw bytes on the wire.
-    MDL_CHECK(wire_ == nullptr,
-              "cannot resume a pre-codec checkpoint with a wire codec");
-    ledger_.bytes_up_raw = ledger_.bytes_up;
-    ledger_.bytes_down_raw = ledger_.bytes_down;
-  }
+  RoundRunner::Prefix prefix = runner_.read_prefix(r, kFedAvgStateVersion);
+  const double client_lr = r.read_f64();
+  const double server_lr = r.read_f64();
+  const std::vector<float> w_global = runner_.read_params(r);
+  runner_.restore(std::move(prefix));
+  config_.client_lr = client_lr;
+  config_.server_lr = server_lr;
+  nn::unflatten_into_values(w_global, runner_.model().parameters());
 }
 
 FedAvgTrainer::FedAvgTrainer(ModelFactory factory,
                              std::shared_ptr<const ClientPopulation> population,
                              FedAvgConfig config)
-    : factory_(std::move(factory)),
-      population_(std::move(population)),
-      config_(config),
-      rng_(config.seed) {
-  MDL_CHECK(population_ != nullptr && population_->size() > 0,
-            "need at least one client shard");
+    : config_(config),
+      runner_("fedavg", "client_update", std::move(factory),
+              std::move(population), config.seed, /*rng_workspace=*/true) {
   MDL_CHECK(config_.clients_per_round > 0 &&
                 config_.clients_per_round <=
-                    static_cast<std::int64_t>(population_->size()),
+                    static_cast<std::int64_t>(runner_.population().size()),
             "clients_per_round " << config_.clients_per_round << " vs "
-                                 << population_->size() << " clients");
+                                 << runner_.population().size() << " clients");
   MDL_CHECK(config_.rounds > 0, "rounds must be positive");
   MDL_CHECK(config_.agg_shards > 0, "agg_shards must be positive");
-  global_ = factory_(rng_);
-  client_workers_.push_back(factory_(rng_));
-  shard_scratch_.resize(1);
-  model_size_ = nn::total_size(global_->parameters());
-  MDL_CHECK(nn::total_size(client_workers_[0]->parameters()) == model_size_,
-            "factory produced differently sized models");
 }
 
 FedAvgTrainer::FedAvgTrainer(ModelFactory factory,
@@ -115,46 +52,24 @@ FedAvgTrainer::FedAvgTrainer(ModelFactory factory,
                     std::make_shared<MaterializedPopulation>(std::move(shards)),
                     config) {}
 
-void FedAvgTrainer::ensure_client_workers(std::size_t n) {
-  while (client_workers_.size() < n) {
-    Rng scratch(config_.seed ^ (0x9E3779B97F4A7C15ULL *
-                                (client_workers_.size() + 1)));
-    client_workers_.push_back(factory_(scratch));
-  }
-  if (shard_scratch_.size() < n) shard_scratch_.resize(n);
-}
-
 std::vector<RoundStats> FedAvgTrainer::run(const data::TabularDataset& test) {
   std::vector<RoundStats> history;
   history.reserve(static_cast<std::size_t>(config_.rounds));
-  const auto global_params = global_->parameters();
+  const auto global_params = runner_.model().parameters();
+  const WireCodec* wire = runner_.wire();
+  CommLedger& ledger = runner_.ledger();
 
-  ckpt::TrainerGuard guard(config_.checkpoint, config_.health, "fedavg");
-  const ckpt::PayloadWriter save = [this](BinaryWriter& w) { save_state(w); };
-  const ckpt::PayloadReader load = [this](BinaryReader& r) { load_state(r); };
-  const std::int64_t start_round = guard.begin(save, load) + 1;
-
-  for (std::int64_t round = start_round; round <= config_.rounds; ++round) {
+  const auto round_fn = [&](std::int64_t round) {
     MDL_OBS_SPAN_T("fedavg.round", obs::track_round(round));
-    const std::uint64_t bytes_up_before = ledger_.bytes_up;
-    const std::uint64_t bytes_down_before = ledger_.bytes_down;
-    const std::uint64_t bytes_up_raw_before = ledger_.bytes_up_raw;
-    const std::uint64_t bytes_down_raw_before = ledger_.bytes_down_raw;
     const std::vector<float> w_global = nn::flatten_values(global_params);
-    // O(cohort) sampling; consumes the same rng_ draws (and returns the
+    // O(cohort) sampling; consumes the same rng draws (and returns the
     // same cohort) as the historical sample_without_replacement call.
-    const auto selected =
-        sample_cohort(rng_, population_->size(),
-                      static_cast<std::size_t>(config_.clients_per_round));
+    const auto selected = sample_cohort(
+        runner_.rng(), runner_.population().size(),
+        static_cast<std::size_t>(config_.clients_per_round));
 
     RoundStats stats;
     stats.round = round;
-    stats.clients_selected = static_cast<std::int64_t>(selected.size());
-
-    // Survivors: the clients whose upload the server accepts this round.
-    // Without a SimNetwork the exchange is loss-free and everyone survives.
-    std::vector<std::size_t> survivors;
-    bool aborted = false;
     // On-wire size of the model broadcast. With a wire codec attached it is
     // the entropy-coded size, and it also stands in for the uploads when
     // sizing the simulated exchange: uploads are same-length dense vectors
@@ -164,124 +79,63 @@ std::vector<RoundStats> FedAvgTrainer::run(const data::TabularDataset& test) {
     const std::uint64_t model_raw =
         static_cast<std::uint64_t>(w_global.size()) * 4;
     const std::uint64_t broadcast_wire =
-        wire_ != nullptr ? wire_->dense_wire_bytes(w_global) : model_raw;
-    if (net_ != nullptr) {
-      const sim::RoundReport report =
-          net_->run_round(round, selected, broadcast_wire, broadcast_wire);
-      aborted = report.aborted;
-      for (const sim::ClientExchange& ex : report.clients) {
-        if (ex.outcome == sim::Outcome::kDropout) continue;
-        ledger_.encoded_down(broadcast_wire, model_raw);
-        ledger_.wasted_up(ex.bytes_wasted);
-        if (!ex.delivered()) continue;
-        if (aborted) {
-          // Delivered but discarded with the round: the bytes still flew.
-          ledger_.wasted_up(ex.bytes_up_ok);
-        } else {
-          survivors.push_back(ex.client);
-        }
-      }
-      stats.clients_delivered = report.delivered;
-      stats.dropouts = report.dropouts;
-      stats.deadline_misses = report.deadline_misses;
-      stats.retries = report.retries;
-      stats.bytes_wasted = report.bytes_wasted;
-      stats.aborted = aborted;
-      stats.sim_latency_s = report.round_latency_s;
-      stats.sim_energy_j = report.device_energy_j;
-    } else {
-      survivors.assign(selected.begin(), selected.end());
-      stats.clients_delivered = static_cast<std::int64_t>(survivors.size());
-    }
+        wire != nullptr ? wire->dense_wire_bytes(w_global) : model_raw;
+    // Survivors: the clients whose upload the server accepts this round.
+    const RoundRunner::Cohort cohort = runner_.exchange(
+        round, selected, broadcast_wire, broadcast_wire, stats);
+    for (std::size_t c = 0; c < cohort.reached.size(); ++c)
+      ledger.encoded_down(broadcast_wire, model_raw);
+    const std::vector<std::size_t>& survivors = cohort.survivors;
 
     double round_loss = 0.0;
-    if (!aborted && !survivors.empty()) {
+    if (!survivors.empty()) {
       // Survivor-weighted aggregation: n_k / n over delivered updates only.
       // shard_size() is O(1) even for virtual populations.
       const std::size_t n_clients = survivors.size();
       std::vector<std::int64_t> sizes(n_clients);
       std::int64_t n_total = 0;
       for (std::size_t c = 0; c < n_clients; ++c) {
-        sizes[c] = population_->shard_size(survivors[c]);
+        sizes[c] = runner_.population().shard_size(survivors[c]);
         n_total += sizes[c];
       }
+      const auto weight = [&](std::size_t c) {
+        return static_cast<double>(sizes[c]) / static_cast<double>(n_total);
+      };
 
-      // Intra-round parallelism (see DESIGN.md): client RNGs are forked
-      // sequentially in survivor order (same rng_ stream as the serial
-      // loop); survivors are then partitioned into min(cohort, agg_shards)
-      // contiguous chunks. Each chunk trains its clients sequentially in a
-      // private workspace, streaming weight * upload into a private double
-      // accumulator as each client finishes — so live memory is
-      // O(chunks x model), never O(cohort x model) — and the chunk
-      // accumulators reduce in fixed chunk order after the join. The
-      // partition depends only on (cohort, agg_shards), so the result is
-      // bit-identical at every thread count; with cohort <= agg_shards the
-      // chunks are singletons and the sum is bit-identical to the
-      // historical strictly-sequential fold.
-      const std::vector<ChunkRange> chunks = chunk_ranges(
-          n_clients, static_cast<std::size_t>(config_.agg_shards));
-      ensure_client_workers(chunks.size());
-      std::vector<Rng> client_rngs;
-      client_rngs.reserve(n_clients);
-      for (std::size_t c = 0; c < n_clients; ++c) {
-        if (net_ == nullptr) ledger_.encoded_down(broadcast_wire, model_raw);
-        client_rngs.push_back(rng_.fork());
-      }
-
+      // Each chunk streams weight * upload into its accumulator as each
+      // client finishes, so live memory is O(chunks x model), never
+      // O(cohort x model); with cohort <= agg_shards the chunks are
+      // singletons and the sum is bit-identical to the historical
+      // strictly-sequential fold (see DESIGN.md).
       std::vector<double> client_loss(n_clients, 0.0);
-      std::vector<double> client_us(n_clients, 0.0);
       std::vector<std::uint64_t> upload_wire(n_clients, model_raw);
-      std::vector<std::vector<double>> chunk_acc(chunks.size());
-      parallel_for(shared_pool(), chunks.size(), [&](std::size_t s) {
-        nn::Sequential& worker = *client_workers_[s];
-        const auto worker_params = worker.parameters();
-        data::TabularDataset& scratch = shard_scratch_[s];
-        std::vector<double>& acc = chunk_acc[s];
-        acc.assign(w_global.size(), 0.0);
-        std::vector<float> upload;
-        for (std::size_t c = chunks[s].begin; c < chunks[s].end; ++c) {
-          // fedavg.round/client_update inline; track = (round, client id)
-          MDL_OBS_SPAN_T("client_update",
-                         obs::track_round_client(round, survivors[c]));
-          const auto t0 = std::chrono::steady_clock::now();
-          const data::TabularDataset& shard =
-              population_->shard(survivors[c], scratch);
-          // Download current global model to the participant.
-          nn::unflatten_into_values(w_global, worker_params);
-          if (config_.fedsgd) {
-            client_loss[c] = full_batch_gradient(worker, shard);
-            upload = nn::flatten_grads(worker_params);
-          } else {
-            client_loss[c] =
-                local_sgd(worker, shard, config_.local_epochs,
-                          config_.batch_size, config_.client_lr,
-                          client_rngs[c]);
-            upload = nn::flatten_values(worker_params);
-          }
-          // Per-client encoded upload size; the codec encode is pure, so
-          // calling it from the chunk workers is race-free.
-          if (wire_ != nullptr) upload_wire[c] = wire_->dense_wire_bytes(upload);
-          const double weight = static_cast<double>(sizes[c]) /
-                                static_cast<double>(n_total);
-          for (std::size_t i = 0; i < upload.size(); ++i)
-            acc[i] += weight * static_cast<double>(upload[i]);
-          client_us[c] = std::chrono::duration<double, std::micro>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count();
-        }
-      });
-
-      std::vector<double> aggregate(w_global.size(), 0.0);
-      for (const std::vector<double>& acc : chunk_acc)
-        for (std::size_t i = 0; i < acc.size(); ++i) aggregate[i] += acc[i];
+      const std::vector<double> aggregate = runner_.client_pass(
+          round, survivors, static_cast<std::size_t>(config_.agg_shards),
+          w_global.size(), [&](const RoundRunner::Client& client) {
+            // Download current global model to the participant.
+            nn::unflatten_into_values(w_global, client.params);
+            std::vector<float> upload;
+            if (config_.fedsgd) {
+              client_loss[client.index] =
+                  full_batch_gradient(client.model, client.shard);
+              upload = nn::flatten_grads(client.params);
+            } else {
+              client_loss[client.index] = local_sgd(
+                  client.model, client.shard, config_.local_epochs,
+                  config_.batch_size, config_.client_lr, client.rng);
+              upload = nn::flatten_values(client.params);
+            }
+            // Per-client encoded upload size; the codec encode is pure, so
+            // calling it from the chunk workers is race-free.
+            if (wire != nullptr)
+              upload_wire[client.index] = wire->dense_wire_bytes(upload);
+            const double w = weight(client.index);
+            for (std::size_t i = 0; i < upload.size(); ++i)
+              client.acc[i] += w * static_cast<double>(upload[i]);
+          });
       for (std::size_t c = 0; c < n_clients; ++c) {
-        const double weight = static_cast<double>(sizes[c]) /
-                              static_cast<double>(n_total);
-        round_loss += weight * client_loss[c];
-        ledger_.encoded_up(upload_wire[c], model_raw);
-        // Observed after the join, so the hot loop touches no shared
-        // metric state.
-        MDL_OBS_HISTOGRAM_OBSERVE("fedavg.client_us", client_us[c]);
+        round_loss += weight(c) * client_loss[c];
+        ledger.encoded_up(upload_wire[c], model_raw);
       }
 
       // Server update.
@@ -299,58 +153,27 @@ std::vector<RoundStats> FedAvgTrainer::run(const data::TabularDataset& test) {
     // Aborted (or fully failed) rounds keep the previous global model.
 
     stats.train_loss = round_loss;
-    stats.test_accuracy = evaluate_accuracy(*global_, test);
-    stats.cumulative_bytes = ledger_.total();
-
-    // Health gate: a tripped round is recorded, undone (state restored to
-    // the last-good snapshot/checkpoint), and replayed with a cooler
-    // learning rate. Aborted rounds carry no meaningful loss.
+    stats.test_accuracy = evaluate_accuracy(runner_.model(), test);
+    stats.cumulative_bytes = ledger.total();
+    // Health gate; aborted rounds carry no meaningful loss.
     const std::vector<float> w_now = nn::flatten_values(global_params);
-    const std::optional<double> health_loss =
-        (aborted || survivors.empty()) ? std::nullopt
-                                       : std::optional<double>(round_loss);
-    const ckpt::TrainerGuard::Verdict verdict =
-        guard.end_of_round(round, health_loss, w_now, save, load);
-    stats.rolled_back = verdict.rolled_back;
+    stats.rolled_back = runner_.end_round(
+        round,
+        survivors.empty() ? std::nullopt : std::optional<double>(round_loss),
+        w_now);
     history.push_back(stats);
 
-    MDL_OBS_COUNTER_ADD("fedavg.rounds", 1);
-    if (stats.aborted) MDL_OBS_COUNTER_ADD("fedavg.round_aborts", 1);
-    MDL_OBS_COUNTER_ADD("fedavg.bytes_up", ledger_.bytes_up - bytes_up_before);
-    MDL_OBS_COUNTER_ADD("fedavg.bytes_down",
-                        ledger_.bytes_down - bytes_down_before);
-    if (wire_ != nullptr) {
-      MDL_OBS_COUNTER_ADD("sim.bytes_up_compressed",
-                          ledger_.bytes_up - bytes_up_before);
-      MDL_OBS_COUNTER_ADD("sim.bytes_down_compressed",
-                          ledger_.bytes_down - bytes_down_before);
-      MDL_OBS_COUNTER_ADD("sim.bytes_up_raw",
-                          ledger_.bytes_up_raw - bytes_up_raw_before);
-      MDL_OBS_COUNTER_ADD("sim.bytes_down_raw",
-                          ledger_.bytes_down_raw - bytes_down_raw_before);
-    }
-    MDL_OBS_GAUGE_SET("fedavg.test_accuracy", stats.test_accuracy);
-    MDL_OBS_GAUGE_SET("fedavg.train_loss", stats.train_loss);
+    runner_.publish(stats);
     MDL_OBS_GAUGE_SET("fedavg.peak_rss_bytes",
                       static_cast<double>(obs::peak_rss_bytes()));
-
     if (config_.on_round) config_.on_round(stats);
-
-    if (verdict.rolled_back) {
-      if (verdict.give_up) break;
-      // Compound the decay with the rollback count so repeated trips at the
-      // same round replay with strictly smaller rates (the restore above
-      // just reset client_lr to the last-good value).
-      config_.client_lr *=
-          std::pow(verdict.lr_scale, static_cast<double>(guard.rollbacks()));
-      round = verdict.resume_round;  // ++ resumes at resume_round + 1
-      continue;
-    }
-
-    if (config_.target_accuracy > 0.0 &&
-        stats.test_accuracy >= config_.target_accuracy)
-      break;
-  }
+    return config_.target_accuracy > 0.0 &&
+           stats.test_accuracy >= config_.target_accuracy;
+  };
+  runner_.run(
+      config_.rounds, config_.checkpoint, config_.health, config_.client_lr,
+      [this](BinaryWriter& w) { save_state(w); },
+      [this](BinaryReader& r) { load_state(r); }, round_fn);
   return history;
 }
 

@@ -16,6 +16,7 @@
 #include "ckpt/checkpoint.hpp"
 #include "federated/common.hpp"
 #include "federated/population.hpp"
+#include "federated/round_runner.hpp"
 
 namespace mdl::federated {
 
@@ -74,50 +75,32 @@ class FedAvgTrainer {
   /// becomes survivor-weighted, stale/failed uploads are rejected, and a
   /// round with fewer deliveries than the plan's quorum aborts (the global
   /// model is kept unchanged). nullptr restores the loss-free network.
-  void attach_network(sim::SimNetwork* net) { net_ = net; }
+  void attach_network(sim::SimNetwork* net) { runner_.attach_network(net); }
 
   /// Prices every exchange in entropy-coded wire bytes (non-owning; must
   /// outlive run()). The ledger then bills encoded bytes (raw bytes stay
   /// in bytes_*_raw) and an attached SimNetwork sizes its transfers by the
   /// encoded broadcast. Training math is unchanged — the codec is a
   /// pricing shim, not a lossy channel. nullptr restores raw accounting.
-  void attach_wire_codec(const WireCodec* codec) { wire_ = codec; }
+  void attach_wire_codec(const WireCodec* codec) {
+    runner_.attach_wire_codec(codec);
+  }
 
-  nn::Sequential& global_model() { return *global_; }
-  const CommLedger& ledger() const { return ledger_; }
-  std::int64_t model_size() const { return model_size_; }
+  nn::Sequential& global_model() { return runner_.model(); }
+  const CommLedger& ledger() const { return runner_.ledger(); }
+  std::int64_t model_size() const { return runner_.model_size(); }
   /// Workspace models currently allocated — capped at
   /// min(cohort, agg_shards), never the population size (tests pin this).
-  std::size_t worker_pool_size() const { return client_workers_.size(); }
+  std::size_t worker_pool_size() const { return runner_.worker_pool_size(); }
 
  private:
-  /// Complete run state for crash-safe resume: config seed + fault-plan
-  /// seed guards, current client LR, RNG engine, flattened global model,
-  /// and the communication ledger.
+  /// Run state after the runner's prefix: the client and server LRs and
+  /// the flattened global model.
   void save_state(BinaryWriter& w) const;
   void load_state(BinaryReader& r);
 
-  /// Grows the workspace pool (models + shard scratches) to `n` slots —
-  /// one per aggregation chunk, so at most min(cohort, agg_shards) slots
-  /// ever exist; slots are reused across rounds. Extra workspaces are
-  /// built from throwaway RNGs (their weights are overwritten before use),
-  /// so the trainer's rng_ stream is untouched.
-  void ensure_client_workers(std::size_t n);
-
-  ModelFactory factory_;
-  std::shared_ptr<const ClientPopulation> population_;
   FedAvgConfig config_;
-  Rng rng_;
-  std::unique_ptr<nn::Sequential> global_;
-  /// Per-chunk workspaces for the parallel local-training pass; one model
-  /// per aggregation chunk (clients within a chunk train sequentially).
-  std::vector<std::unique_ptr<nn::Sequential>> client_workers_;
-  /// Per-chunk scratch datasets for virtual-population shard generation.
-  std::vector<data::TabularDataset> shard_scratch_;
-  std::int64_t model_size_ = 0;
-  CommLedger ledger_;
-  sim::SimNetwork* net_ = nullptr;
-  const WireCodec* wire_ = nullptr;
+  RoundRunner runner_;
 };
 
 }  // namespace mdl::federated

@@ -1,0 +1,163 @@
+// The federated round skeleton shared by every parameter-server trainer (§II).
+//
+// Selective SGD, FedSGD/FedAvg and DP-FedAvg run the same round: the server
+// picks clients, ships them (part of) the model through a possibly lossy
+// network, each client trains locally, and the server folds the uploads
+// back in. McMahan et al. write FedSGD and FedAvg as one loop that differs
+// only in how clients are picked, what a client computes and how the
+// server aggregates. RoundRunner is that loop minus those three choices:
+//   - the model factory, client population, seed and trainer RNG;
+//   - the attached SimNetwork / WireCodec and the CommLedger they bill;
+//   - the workspace pool (one model + shard scratch per aggregation chunk);
+//   - the TrainerGuard loop: resume, health check, rollback with LR decay;
+//   - the checkpoint state prefix every trainer writes first;
+//   - the cohort exchange through the SimNetwork;
+//   - the chunked parallel client pass with its streaming accumulators;
+//   - the per-round `<name>.*` and `sim.bytes_*` metrics.
+// A trainer keeps its algorithm: the sampling rule, the client update, the
+// aggregation, and its own state payload after the prefix.
+#pragma once
+
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <optional>
+#include <span>
+#include <string>
+#include <vector>
+
+#include "ckpt/checkpoint.hpp"
+#include "federated/common.hpp"
+#include "federated/population.hpp"
+
+namespace mdl::federated {
+
+class RoundRunner {
+ public:
+  /// `name` tags checkpoints and prefixes the `<name>.*` metrics;
+  /// `client_span` (a string literal) names each client's trace span. The
+  /// first factory call draws model() from rng(); with `rng_workspace` the
+  /// second draws workspace 0 from it too. Every other workspace is built
+  /// from a scratch seed, so rng() never feels the pool growing.
+  RoundRunner(std::string name, const char* client_span, ModelFactory factory,
+              std::shared_ptr<const ClientPopulation> population,
+              std::uint64_t seed, bool rng_workspace);
+
+  Rng& rng() { return rng_; }
+  const ClientPopulation& population() const { return *population_; }
+  /// The server's model (FedAvg, DP-FedAvg) or evaluation model (selective
+  /// SGD).
+  nn::Sequential& model() const { return *model_; }
+  std::int64_t model_size() const { return model_size_; }
+  CommLedger& ledger() { return ledger_; }
+  const CommLedger& ledger() const { return ledger_; }
+  std::size_t worker_pool_size() const { return workers_.size(); }
+
+  void attach_network(sim::SimNetwork* net) { net_ = net; }
+  void attach_wire_codec(const WireCodec* wire) { wire_ = wire; }
+  sim::SimNetwork* net() const { return net_; }
+  const WireCodec* wire() const { return wire_; }
+
+  // -- Checkpoint state prefix ---------------------------------------------
+
+  /// Prefix state read back from a checkpoint, not yet applied.
+  struct Prefix {
+    Rng rng;
+    CommLedger ledger;
+  };
+  /// Writes `[name, version]`, the seed, the fault-plan seed, the population
+  /// fingerprint, the wire-codec flag, the RNG and the ledger.
+  void write_prefix(BinaryWriter& w, std::uint32_t version) const;
+  /// Reads the prefix and checks every guard in it. Assigns nothing: a
+  /// refused checkpoint leaves the trainer exactly as it was. The trainer
+  /// reads and checks its own payload, then calls restore().
+  Prefix read_prefix(BinaryReader& r, std::uint32_t version) const;
+  void restore(Prefix prefix);
+  /// Reads a flat parameter vector and checks it has model_size() entries.
+  std::vector<float> read_params(BinaryReader& r) const;
+
+  // -- Round loop ----------------------------------------------------------
+
+  /// Runs rounds 1..`rounds` under a TrainerGuard: resumes from disk when
+  /// configured, then calls `round(r)`, which must close with end_round().
+  /// After a rollback the loop scales `lr` by the guard's compounded decay
+  /// and replays from the last good round, or stops when the guard gives
+  /// up. `round` returns true to stop early.
+  void run(std::int64_t rounds, const ckpt::CheckpointConfig& checkpoint,
+           const ckpt::HealthConfig& health, double& lr,
+           ckpt::PayloadWriter save, ckpt::PayloadReader load,
+           const std::function<bool(std::int64_t)>& round);
+  /// Health-checks the round (snapshot/persist, or roll back); returns
+  /// whether it was rolled back.
+  bool end_round(std::int64_t round, std::optional<double> loss,
+                 std::span<const float> params);
+  /// Counters `<name>.rounds`, `<name>.round_aborts`, `<name>.bytes_up/down`
+  /// (and, with a codec, `sim.bytes_{up,down}_{compressed,raw}`) over the
+  /// round's ledger delta; gauges `<name>.test_accuracy/train_loss`.
+  void publish(const RoundStats& stats) const;
+
+  // -- Exchange and client pass ----------------------------------------------
+
+  struct Cohort {
+    /// Clients that did not drop out, in selection order.
+    std::vector<std::size_t> reached;
+    /// Per reached client: its upload lands in this round's aggregate.
+    std::vector<bool> accepted;
+    /// The accepted clients, in order.
+    std::vector<std::size_t> survivors;
+  };
+  /// Runs `selected` through the attached SimNetwork, sized by `bytes_down`
+  /// / `bytes_up` per client (loss-free without one: everyone survives).
+  /// Bills the uplink bytes that delivered nothing — failed attempts, and
+  /// uploads into a quorum-aborted round — and fills the RoundStats
+  /// selection and fault fields. Payload bytes are the trainer's to bill.
+  Cohort exchange(std::int64_t round, const std::vector<std::size_t>& selected,
+                  std::uint64_t bytes_down, std::uint64_t bytes_up,
+                  RoundStats& stats);
+
+  /// One client as the pass hands it to the trainer's update.
+  struct Client {
+    std::size_t index;  ///< position in the pass's client list
+    std::size_t id;
+    nn::Sequential& model;  ///< this chunk's workspace
+    const std::vector<nn::Parameter*>& params;
+    const data::TabularDataset& shard;
+    Rng& rng;  ///< forked from rng() in client order before the pass
+    std::vector<double>& acc;  ///< this chunk's accumulator
+  };
+  /// Trains `clients` concurrently. The list is cut into at most
+  /// `max_chunks` contiguous chunks (chunk_ranges); each chunk owns a
+  /// workspace and an `acc_size` float64 accumulator, and visits its
+  /// clients in order. Returns the accumulators summed in chunk order — so
+  /// the result depends on (clients, max_chunks), never the thread count.
+  /// Each update is traced and timed into `<name>.client_us`.
+  std::vector<double> client_pass(std::int64_t round,
+                                  const std::vector<std::size_t>& clients,
+                                  std::size_t max_chunks, std::size_t acc_size,
+                                  const std::function<void(const Client&)>& update);
+
+ private:
+  void ensure_workspaces(std::size_t n);
+  void add_workspace(std::unique_ptr<nn::Sequential> model);
+
+  std::string name_;
+  const char* client_span_;
+  ModelFactory factory_;
+  std::shared_ptr<const ClientPopulation> population_;
+  std::uint64_t seed_;
+  Rng rng_;
+  std::unique_ptr<nn::Sequential> model_;
+  std::int64_t model_size_ = 0;
+  std::vector<std::unique_ptr<nn::Sequential>> workers_;
+  std::vector<data::TabularDataset> shards_;  ///< per-workspace shard scratch
+  CommLedger ledger_;
+  CommLedger before_;  ///< ledger at the start of the current round
+  sim::SimNetwork* net_ = nullptr;
+  const WireCodec* wire_ = nullptr;
+  std::optional<ckpt::TrainerGuard> guard_;
+  ckpt::PayloadWriter save_;
+  ckpt::PayloadReader load_;
+  ckpt::TrainerGuard::Verdict verdict_;
+};
+
+}  // namespace mdl::federated

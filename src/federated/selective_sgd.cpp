@@ -1,23 +1,18 @@
 #include "federated/selective_sgd.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <numeric>
 #include <utility>
 
-#include "core/threadpool.hpp"
 #include "obs/flight.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/sim_network.hpp"
 
 namespace mdl::federated {
 
 namespace {
-// v2 appended the population fingerprint; v3 the wire-codec flag and the
-// raw-byte ledger columns. v1 archives resume unguarded.
-constexpr std::uint32_t kSelectiveSgdStateVersion = 3;
+// v4: the shared RoundRunner prefix; older archives are refused.
+constexpr std::uint32_t kSelectiveSgdStateVersion = 4;
 /// Workspace-chunk cap: participants are partitioned into at most this many
 /// contiguous chunks for the parallel pass; each chunk trains its
 /// participants sequentially in one reused workspace. Per-participant work
@@ -28,107 +23,59 @@ constexpr std::size_t kWorkspaceChunks = 16;
 }
 
 void SelectiveSGDTrainer::save_state(BinaryWriter& w) const {
-  ckpt::write_state_header(w, "selective_sgd", kSelectiveSgdStateVersion);
-  w.write_u64(config_.seed);
-  w.write_u8(net_ != nullptr ? 1 : 0);
-  if (net_ != nullptr) w.write_u64(net_->plan().seed);
+  runner_.write_prefix(w, kSelectiveSgdStateVersion);
   w.write_f64(config_.lr);
-  rng_.serialize(w);
   w.write_f32_vector(global_);
   w.write_u32_vector(version_);
   w.write_u64(locals_.size());
   for (const std::vector<float>& local : locals_) w.write_f32_vector(local);
   w.write_u32_vector(seen_version_);
-  w.write_u64(ledger_.bytes_up);
-  w.write_u64(ledger_.bytes_down);
-  w.write_u64(population_->fingerprint());
-  w.write_u8(wire_ != nullptr ? 1 : 0);
-  w.write_u64(ledger_.bytes_up_raw);
-  w.write_u64(ledger_.bytes_down_raw);
 }
 
 void SelectiveSGDTrainer::load_state(BinaryReader& r) {
-  const std::uint32_t stored =
-      ckpt::read_state_header(r, "selective_sgd", kSelectiveSgdStateVersion);
-  const std::uint64_t seed = r.read_u64();
-  MDL_CHECK(seed == config_.seed, "checkpoint was written with seed "
-                                      << seed << ", run uses "
-                                      << config_.seed);
-  const bool had_net = r.read_u8() != 0;
-  MDL_CHECK(had_net == (net_ != nullptr),
-            "checkpoint and run disagree on fault-network attachment");
-  if (had_net) {
-    const std::uint64_t plan_seed = r.read_u64();
-    MDL_CHECK(plan_seed == net_->plan().seed,
-              "checkpoint fault plan seed " << plan_seed << " vs "
-                                            << net_->plan().seed);
-  }
-  config_.lr = r.read_f64();
-  rng_ = Rng::deserialize(r);
-  std::vector<float> global = r.read_f32_vector();
-  MDL_CHECK(global.size() == global_.size(),
-            "checkpoint model has " << global.size() << " params, expected "
-                                    << global_.size());
-  global_ = std::move(global);
-  version_ = r.read_u32_vector();
-  MDL_CHECK(version_.size() == global_.size(), "version vector size mismatch");
+  RoundRunner::Prefix prefix =
+      runner_.read_prefix(r, kSelectiveSgdStateVersion);
+  const double lr = r.read_f64();
+  std::vector<float> global = runner_.read_params(r);
+  std::vector<std::uint32_t> version = r.read_u32_vector();
+  MDL_CHECK(version.size() == global.size(), "version vector size mismatch");
   const std::uint64_t n_locals = r.read_u64();
   MDL_CHECK(n_locals == locals_.size(),
             "checkpoint has " << n_locals << " participants, run has "
                               << locals_.size());
-  for (std::vector<float>& local : locals_) {
+  std::vector<std::vector<float>> locals(locals_.size());
+  for (std::vector<float>& local : locals) {
     local = r.read_f32_vector();
-    MDL_CHECK(local.size() == global_.size(), "replica size mismatch");
+    MDL_CHECK(local.size() == global.size(), "replica size mismatch");
   }
-  seen_version_ = r.read_u32_vector();
-  MDL_CHECK(seen_version_.size() == locals_.size() * global_.size(),
+  std::vector<std::uint32_t> seen_version = r.read_u32_vector();
+  MDL_CHECK(seen_version.size() == locals.size() * global.size(),
             "sync-state size mismatch");
-  ledger_.bytes_up = r.read_u64();
-  ledger_.bytes_down = r.read_u64();
-  if (stored >= 2) {
-    const std::uint64_t fp = r.read_u64();
-    MDL_CHECK(fp == population_->fingerprint(),
-              "checkpoint population fingerprint "
-                  << fp << " vs " << population_->fingerprint()
-                  << " — resumed against a different client population");
-  }
-  if (stored >= 3) {
-    const bool had_wire = r.read_u8() != 0;
-    MDL_CHECK(had_wire == (wire_ != nullptr),
-              "checkpoint and run disagree on wire-codec attachment");
-    ledger_.bytes_up_raw = r.read_u64();
-    ledger_.bytes_down_raw = r.read_u64();
-  } else {
-    // Pre-codec archives billed raw bytes on the wire.
-    MDL_CHECK(wire_ == nullptr,
-              "cannot resume a pre-codec checkpoint with a wire codec");
-    ledger_.bytes_up_raw = ledger_.bytes_up;
-    ledger_.bytes_down_raw = ledger_.bytes_down;
-  }
+  runner_.restore(std::move(prefix));
+  config_.lr = lr;
+  global_ = std::move(global);
+  version_ = std::move(version);
+  locals_ = std::move(locals);
+  seen_version_ = std::move(seen_version);
 }
 
 SelectiveSGDTrainer::SelectiveSGDTrainer(
     ModelFactory factory, std::shared_ptr<const ClientPopulation> population,
     SelectiveSGDConfig config)
-    : factory_(std::move(factory)),
-      population_(std::move(population)),
-      config_(config),
-      rng_(config.seed) {
-  MDL_CHECK(population_ != nullptr && population_->size() > 0,
-            "need at least one participant");
+    : config_(config),
+      runner_("selective_sgd", "participant_update", std::move(factory),
+              std::move(population), config.seed, /*rng_workspace=*/false) {
   MDL_CHECK(config_.upload_fraction > 0.0 && config_.upload_fraction <= 1.0,
             "upload fraction must be in (0, 1]");
   MDL_CHECK(config_.download_fraction > 0.0 &&
                 config_.download_fraction <= 1.0,
             "download fraction must be in (0, 1]");
-  eval_model_ = factory_(rng_);
-  model_size_ = nn::total_size(eval_model_->parameters());
-  global_ = nn::flatten_values(eval_model_->parameters());
+  global_ = nn::flatten_values(runner_.model().parameters());
   version_.assign(global_.size(), 0);
   // Every participant starts from the same initialization (downloaded once;
   // not counted in the per-round ledger, matching the usual accounting).
-  locals_.assign(population_->size(), global_);
-  seen_version_.assign(population_->size() * global_.size(), 0);
+  locals_.assign(runner_.population().size(), global_);
+  seen_version_.assign(runner_.population().size() * global_.size(), 0);
 }
 
 SelectiveSGDTrainer::SelectiveSGDTrainer(
@@ -139,19 +86,13 @@ SelectiveSGDTrainer::SelectiveSGDTrainer(
           std::make_shared<MaterializedPopulation>(std::move(shards)),
           config) {}
 
-void SelectiveSGDTrainer::ensure_client_workers(std::size_t n) {
-  while (client_workers_.size() < n) {
-    Rng scratch(config_.seed ^ (0x9E3779B97F4A7C15ULL *
-                                (client_workers_.size() + 1)));
-    client_workers_.push_back(factory_(scratch));
-  }
-  if (shard_scratch_.size() < n) shard_scratch_.resize(n);
-}
-
 std::vector<RoundStats> SelectiveSGDTrainer::run(
     const data::TabularDataset& test) {
-  const auto params = eval_model_->parameters();
+  const auto params = runner_.model().parameters();
   const std::size_t p_count = global_.size();
+  const std::size_t n_participants = runner_.population().size();
+  const WireCodec* wire = runner_.wire();
+  CommLedger& ledger = runner_.ledger();
   const auto top_k = [&](double fraction) {
     return std::max<std::size_t>(
         1, static_cast<std::size_t>(
@@ -161,18 +102,8 @@ std::vector<RoundStats> SelectiveSGDTrainer::run(
   std::vector<RoundStats> history;
   history.reserve(static_cast<std::size_t>(config_.rounds));
 
-  ckpt::TrainerGuard guard(config_.checkpoint, config_.health,
-                           "selective_sgd");
-  const ckpt::PayloadWriter save = [this](BinaryWriter& w) { save_state(w); };
-  const ckpt::PayloadReader load = [this](BinaryReader& r) { load_state(r); };
-  const std::int64_t start_round = guard.begin(save, load) + 1;
-
-  for (std::int64_t round = start_round; round <= config_.rounds; ++round) {
+  const auto round_fn = [&](std::int64_t round) {
     MDL_OBS_SPAN_T("selective_sgd.round", obs::track_round(round));
-    const std::uint64_t bytes_up_before = ledger_.bytes_up;
-    const std::uint64_t bytes_down_before = ledger_.bytes_down;
-    const std::uint64_t bytes_up_raw_before = ledger_.bytes_up_raw;
-    const std::uint64_t bytes_down_raw_before = ledger_.bytes_down_raw;
 
     // With a wire codec attached, the simulated exchange is sized by
     // representative *encoded* payloads. Per-participant payloads (stale
@@ -194,42 +125,50 @@ std::vector<RoundStats> SelectiveSGDTrainer::run(
       for (std::size_t j = 0; j < k; ++j)
         coords.emplace_back(static_cast<std::uint32_t>(order[j]),
                             global_[order[j]]);
-      return wire_->sparse_wire_bytes(coords);
+      return wire->sparse_wire_bytes(coords);
     };
     // Encoded size of the full server snapshot; reused for every dense
     // download this round (all participants fetch the same g0).
     const std::uint64_t dense_down_wire =
-        wire_ != nullptr && config_.download_fraction >= 1.0
-            ? wire_->dense_wire_bytes(global_)
+        wire != nullptr && config_.download_fraction >= 1.0
+            ? wire->dense_wire_bytes(global_)
             : static_cast<std::uint64_t>(p_count) * 4;
 
     // Fault-injected exchange for the whole population (loss-free without
     // an attached SimNetwork). Coordinate counts are uniform across
     // participants, so payload sizes are too.
-    sim::RoundReport report;
-    if (net_ != nullptr) {
-      std::vector<std::size_t> all(population_->size());
-      std::iota(all.begin(), all.end(), std::size_t{0});
-      std::uint64_t bytes_down =
+    std::uint64_t bytes_down = 0;
+    std::uint64_t bytes_up = 0;
+    if (runner_.net() != nullptr) {
+      bytes_down =
           config_.download_fraction >= 1.0
               ? static_cast<std::uint64_t>(p_count) * 4
               : static_cast<std::uint64_t>(top_k(config_.download_fraction)) *
                     8;
-      std::uint64_t bytes_up =
+      bytes_up =
           config_.upload_fraction >= 1.0
               ? static_cast<std::uint64_t>(p_count) * 4
               : static_cast<std::uint64_t>(top_k(config_.upload_fraction)) * 8;
-      if (wire_ != nullptr) {
+      if (wire != nullptr) {
         bytes_down = config_.download_fraction >= 1.0
                          ? dense_down_wire
                          : representative_sparse(
                                top_k(config_.download_fraction));
         bytes_up = config_.upload_fraction >= 1.0
-                       ? wire_->dense_wire_bytes(global_)
+                       ? wire->dense_wire_bytes(global_)
                        : representative_sparse(top_k(config_.upload_fraction));
       }
-      report = net_->run_round(round, all, bytes_down, bytes_up);
     }
+    std::vector<std::size_t> all(n_participants);
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    RoundStats stats;
+    stats.round = round;
+    // Every participant that did not drop out trains; only accepted uploads
+    // reach the server.
+    const RoundRunner::Cohort cohort =
+        runner_.exchange(round, all, bytes_down, bytes_up, stats);
+    const std::vector<std::size_t>& active = cohort.reached;
+    const std::size_t n_active = active.size();
 
     // Round-start server snapshot: every participant downloads from the
     // same (g0, v0), which is what lets them train concurrently. Accepted
@@ -238,231 +177,150 @@ std::vector<RoundStats> SelectiveSGDTrainer::run(
     const std::vector<float> g0 = global_;
     const std::vector<std::uint32_t> v0 = version_;
 
-    // Prologue (sequential, fixed order): surviving participants, their
-    // pre-forked RNG streams, and acceptance flags.
-    std::vector<std::size_t> active;
-    std::vector<Rng> client_rngs;
-    std::vector<bool> accepted;
-    active.reserve(population_->size());
-    for (std::size_t k = 0; k < population_->size(); ++k) {
-      const sim::ClientExchange* ex =
-          net_ != nullptr ? &report.clients[k] : nullptr;
-      if (ex != nullptr && ex->outcome == sim::Outcome::kDropout) continue;
-      active.push_back(k);
-      client_rngs.push_back(rng_.fork());
-      accepted.push_back(ex == nullptr ||
-                         (ex->delivered() && !report.aborted));
-    }
-    const std::size_t n_active = active.size();
-    // Chunked parallel phase (see kWorkspaceChunks): each chunk owns one
-    // workspace model + shard scratch and walks its participants
-    // sequentially. Everything written is per-participant state; the
-    // shared g0/v0 are read-only — so chunking changes no numerics.
-    const std::vector<ChunkRange> chunks =
-        chunk_ranges(n_active, kWorkspaceChunks);
-    ensure_client_workers(chunks.size());
+    // Parallel phase (see kWorkspaceChunks). Everything written is
+    // per-participant state; the shared g0/v0 are read-only — so chunking
+    // changes no numerics. Exact encoded wire bytes per participant are
+    // filled when a codec is attached (the codec encode is pure, so the
+    // calls are race-free).
     std::vector<double> client_loss(n_active, 0.0);
     std::vector<std::vector<std::pair<std::uint32_t, float>>> uploads(
         n_active);
-    std::vector<double> client_us(n_active, 0.0);
-    // Exact encoded wire bytes per participant (filled by the chunk
-    // workers when a codec is attached; the codec encode is pure, so the
-    // calls are race-free).
     std::vector<std::uint64_t> dl_wire(n_active, 0);
     std::vector<std::uint64_t> ul_wire(n_active, 0);
-    parallel_for(shared_pool(), chunks.size(), [&](std::size_t s) {
-      nn::Sequential& worker = *client_workers_[s];
-      const auto worker_params = worker.parameters();
-      data::TabularDataset& scratch = shard_scratch_[s];
-      std::vector<std::size_t> order(p_count);
-      for (std::size_t c = chunks[s].begin; c < chunks[s].end; ++c) {
-        MDL_OBS_SPAN_T("participant_update",
-                       obs::track_round_client(round, active[c]));
-        const auto t0 = std::chrono::steady_clock::now();
-        const std::size_t k = active[c];
-        std::vector<float>& local = locals_[k];
-        std::uint32_t* seen = seen_version_.data() + k * p_count;
+    runner_.client_pass(
+        round, active, kWorkspaceChunks, 0,
+        [&](const RoundRunner::Client& client) {
+          const std::size_t c = client.index;
+          std::vector<float>& local = locals_[client.id];
+          std::uint32_t* seen = seen_version_.data() + client.id * p_count;
+          std::vector<std::size_t> order(p_count);
 
-        // -- Download: theta_d fraction of the most-stale coordinates -----
-        if (config_.download_fraction >= 1.0) {
-          for (std::size_t i = 0; i < p_count; ++i) {
-            local[i] = g0[i];
-            seen[i] = v0[i];
-          }
-        } else {
-          const std::size_t dl = top_k(config_.download_fraction);
-          std::iota(order.begin(), order.end(), std::size_t{0});
-          std::nth_element(order.begin(),
-                           order.begin() + static_cast<std::ptrdiff_t>(dl - 1),
-                           order.end(), [&](std::size_t a, std::size_t b) {
-                             return v0[a] - seen[a] > v0[b] - seen[b];
-                           });
-          for (std::size_t j = 0; j < dl; ++j) {
-            const std::size_t i = order[j];
-            local[i] = g0[i];
-            seen[i] = v0[i];
-          }
-          if (wire_ != nullptr) {
-            std::vector<std::uint32_t> idx(order.begin(),
-                                           order.begin() +
-                                               static_cast<std::ptrdiff_t>(dl));
-            std::sort(idx.begin(), idx.end());
-            std::vector<std::pair<std::uint32_t, float>> coords;
-            coords.reserve(dl);
-            for (const std::uint32_t i : idx) coords.emplace_back(i, g0[i]);
-            dl_wire[c] = wire_->sparse_wire_bytes(coords);
-          }
-        }
-
-        // -- Local training -----------------------------------------------
-        nn::unflatten_into_values(local, worker_params);
-        client_loss[c] =
-            local_sgd(worker, population_->shard(k, scratch),
-                      config_.local_epochs, config_.batch_size, config_.lr,
-                      client_rngs[c]);
-        const std::vector<float> after = nn::flatten_values(worker_params);
-
-        // -- Upload selection: theta_u largest |accumulated gradient| -----
-        if (accepted[c]) {
-          std::vector<float> delta(p_count);
-          for (std::size_t i = 0; i < p_count; ++i)
-            delta[i] = after[i] - local[i];
-          const std::size_t ul = top_k(config_.upload_fraction);
-          std::iota(order.begin(), order.end(), std::size_t{0});
-          std::nth_element(order.begin(),
-                           order.begin() + static_cast<std::ptrdiff_t>(ul - 1),
-                           order.end(), [&](std::size_t a, std::size_t b) {
-                             return std::abs(delta[a]) > std::abs(delta[b]);
-                           });
-          uploads[c].reserve(ul);
-          for (std::size_t j = 0; j < ul; ++j) {
-            const auto i = static_cast<std::uint32_t>(order[j]);
-            uploads[c].emplace_back(i, delta[i]);
-          }
-          if (wire_ != nullptr) {
-            if (config_.upload_fraction >= 1.0) {
-              ul_wire[c] = wire_->dense_wire_bytes(delta);
-            } else {
-              std::vector<std::pair<std::uint32_t, float>> coords =
-                  uploads[c];
-              std::sort(coords.begin(), coords.end());
-              ul_wire[c] = wire_->sparse_wire_bytes(coords);
+          // -- Download: theta_d fraction of the most-stale coordinates ---
+          if (config_.download_fraction >= 1.0) {
+            for (std::size_t i = 0; i < p_count; ++i) {
+              local[i] = g0[i];
+              seen[i] = v0[i];
+            }
+          } else {
+            const std::size_t dl = top_k(config_.download_fraction);
+            std::iota(order.begin(), order.end(), std::size_t{0});
+            std::nth_element(
+                order.begin(),
+                order.begin() + static_cast<std::ptrdiff_t>(dl - 1),
+                order.end(), [&](std::size_t a, std::size_t b) {
+                  return v0[a] - seen[a] > v0[b] - seen[b];
+                });
+            for (std::size_t j = 0; j < dl; ++j) {
+              const std::size_t i = order[j];
+              local[i] = g0[i];
+              seen[i] = v0[i];
+            }
+            if (wire != nullptr) {
+              std::vector<std::uint32_t> idx(
+                  order.begin(),
+                  order.begin() + static_cast<std::ptrdiff_t>(dl));
+              std::sort(idx.begin(), idx.end());
+              std::vector<std::pair<std::uint32_t, float>> coords;
+              coords.reserve(dl);
+              for (const std::uint32_t i : idx) coords.emplace_back(i, g0[i]);
+              dl_wire[c] = wire->sparse_wire_bytes(coords);
             }
           }
-        }
 
-        local = after;  // the replica keeps all of its own progress
-        client_us[c] = std::chrono::duration<double, std::micro>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count();
-      }
-    });
+          // -- Local training ---------------------------------------------
+          nn::unflatten_into_values(local, client.params);
+          client_loss[c] =
+              local_sgd(client.model, client.shard, config_.local_epochs,
+                        config_.batch_size, config_.lr, client.rng);
+          const std::vector<float> after = nn::flatten_values(client.params);
+
+          // -- Upload selection: theta_u largest |accumulated gradient| ---
+          if (cohort.accepted[c]) {
+            std::vector<float> delta(p_count);
+            for (std::size_t i = 0; i < p_count; ++i)
+              delta[i] = after[i] - local[i];
+            const std::size_t ul = top_k(config_.upload_fraction);
+            std::iota(order.begin(), order.end(), std::size_t{0});
+            std::nth_element(
+                order.begin(),
+                order.begin() + static_cast<std::ptrdiff_t>(ul - 1),
+                order.end(), [&](std::size_t a, std::size_t b) {
+                  return std::abs(delta[a]) > std::abs(delta[b]);
+                });
+            uploads[c].reserve(ul);
+            for (std::size_t j = 0; j < ul; ++j) {
+              const auto i = static_cast<std::uint32_t>(order[j]);
+              uploads[c].emplace_back(i, delta[i]);
+            }
+            if (wire != nullptr) {
+              if (config_.upload_fraction >= 1.0) {
+                ul_wire[c] = wire->dense_wire_bytes(delta);
+              } else {
+                std::vector<std::pair<std::uint32_t, float>> coords =
+                    uploads[c];
+                std::sort(coords.begin(), coords.end());
+                ul_wire[c] = wire->sparse_wire_bytes(coords);
+              }
+            }
+          }
+
+          local = after;  // the replica keeps all of its own progress
+        });
 
     // Merge (sequential, fixed participant order): accepted uploads land on
-    // the server vector; the ledger is settled here so its byte counts stay
-    // exact and deterministic. Under fault injection a failed (or
-    // abort-discarded) upload never reaches the server: the replica keeps
-    // its progress, the server sees nothing, and the attempted traffic is
-    // wasted bytes (failed attempts count even when a later retry
-    // succeeded).
+    // the server vector and the payloads are billed, so the ledger stays
+    // exact and deterministic. A failed (or abort-discarded) upload never
+    // reaches the server: the replica keeps its progress, and the runner's
+    // exchange already billed the attempted traffic as wasted bytes.
     double round_loss = 0.0;
-    const auto participants = static_cast<std::int64_t>(n_active);
     for (std::size_t c = 0; c < n_active; ++c) {
-      const sim::ClientExchange* ex =
-          net_ != nullptr ? &report.clients[active[c]] : nullptr;
       round_loss += client_loss[c];
       if (config_.download_fraction >= 1.0) {
         const std::uint64_t raw = static_cast<std::uint64_t>(p_count) * 4;
-        ledger_.encoded_down(wire_ != nullptr ? dense_down_wire : raw, raw);
+        ledger.encoded_down(wire != nullptr ? dense_down_wire : raw, raw);
       } else {
         const std::uint64_t raw =
             static_cast<std::uint64_t>(top_k(config_.download_fraction)) * 8;
-        ledger_.encoded_down(wire_ != nullptr ? dl_wire[c] : raw, raw);
+        ledger.encoded_down(wire != nullptr ? dl_wire[c] : raw, raw);
       }
-      if (ex != nullptr) ledger_.wasted_up(ex->bytes_wasted);
-      if (accepted[c]) {
+      if (cohort.accepted[c]) {
         for (const auto& [i, d] : uploads[c]) {
           global_[i] += d;
           ++version_[i];
         }
         const std::uint64_t raw =
             uploads[c].size() * (config_.upload_fraction >= 1.0 ? 4 : 8);
-        ledger_.encoded_up(wire_ != nullptr ? ul_wire[c] : raw, raw);
-      } else if (ex->delivered()) {
-        // Delivered into an aborted round: discarded by the server.
-        ledger_.wasted_up(ex->bytes_up_ok);
+        ledger.encoded_up(wire != nullptr ? ul_wire[c] : raw, raw);
       }
-      MDL_OBS_HISTOGRAM_OBSERVE("selective_sgd.client_us", client_us[c]);
     }
 
     nn::unflatten_into_values(global_, params);
-    RoundStats stats;
-    stats.round = round;
     stats.train_loss =
-        participants > 0 ? round_loss / static_cast<double>(participants)
-                         : 0.0;
-    stats.test_accuracy = evaluate_accuracy(*eval_model_, test);
-    stats.cumulative_bytes = ledger_.total();
-    stats.clients_selected = static_cast<std::int64_t>(population_->size());
-    if (net_ != nullptr) {
-      stats.clients_delivered = report.delivered;
-      stats.dropouts = report.dropouts;
-      stats.deadline_misses = report.deadline_misses;
-      stats.retries = report.retries;
-      stats.bytes_wasted = report.bytes_wasted;
-      stats.aborted = report.aborted;
-      stats.sim_latency_s = report.round_latency_s;
-      stats.sim_energy_j = report.device_energy_j;
-    } else {
-      stats.clients_delivered = static_cast<std::int64_t>(population_->size());
-    }
-
+        n_active > 0 ? round_loss / static_cast<double>(n_active) : 0.0;
+    stats.test_accuracy = evaluate_accuracy(runner_.model(), test);
+    stats.cumulative_bytes = ledger.total();
     // Health gate over the server vector; rounds where nobody participated
     // carry no meaningful loss.
-    const std::optional<double> health_loss =
-        participants > 0 ? std::optional<double>(stats.train_loss)
-                         : std::nullopt;
-    const ckpt::TrainerGuard::Verdict verdict = guard.end_of_round(
-        round, health_loss, std::span<const float>(global_), save, load);
-    stats.rolled_back = verdict.rolled_back;
+    stats.rolled_back = runner_.end_round(
+        round,
+        n_active > 0 ? std::optional<double>(stats.train_loss) : std::nullopt,
+        global_);
     history.push_back(stats);
-
-    MDL_OBS_COUNTER_ADD("selective_sgd.rounds", 1);
-    if (stats.aborted) MDL_OBS_COUNTER_ADD("selective_sgd.round_aborts", 1);
-    MDL_OBS_COUNTER_ADD("selective_sgd.bytes_up",
-                        ledger_.bytes_up - bytes_up_before);
-    MDL_OBS_COUNTER_ADD("selective_sgd.bytes_down",
-                        ledger_.bytes_down - bytes_down_before);
-    if (wire_ != nullptr) {
-      MDL_OBS_COUNTER_ADD("sim.bytes_up_compressed",
-                          ledger_.bytes_up - bytes_up_before);
-      MDL_OBS_COUNTER_ADD("sim.bytes_down_compressed",
-                          ledger_.bytes_down - bytes_down_before);
-      MDL_OBS_COUNTER_ADD("sim.bytes_up_raw",
-                          ledger_.bytes_up_raw - bytes_up_raw_before);
-      MDL_OBS_COUNTER_ADD("sim.bytes_down_raw",
-                          ledger_.bytes_down_raw - bytes_down_raw_before);
-    }
-    MDL_OBS_GAUGE_SET("selective_sgd.test_accuracy", stats.test_accuracy);
-    MDL_OBS_GAUGE_SET("selective_sgd.train_loss", stats.train_loss);
-
-    if (verdict.rolled_back) {
-      if (verdict.give_up) break;
-      config_.lr *=
-          std::pow(verdict.lr_scale, static_cast<double>(guard.rollbacks()));
-      nn::unflatten_into_values(global_, params);  // restored server vector
-      round = verdict.resume_round;
-    }
-  }
+    runner_.publish(stats);
+    return false;
+  };
+  runner_.run(
+      config_.rounds, config_.checkpoint, config_.health, config_.lr,
+      [this](BinaryWriter& w) { save_state(w); },
+      [this](BinaryReader& r) { load_state(r); }, round_fn);
   return history;
 }
 
 double SelectiveSGDTrainer::participant_accuracy(
     std::size_t k, const data::TabularDataset& test) {
   MDL_CHECK(k < locals_.size(), "participant index out of range");
-  const auto params = eval_model_->parameters();
-  nn::unflatten_into_values(locals_[k], params);
-  return evaluate_accuracy(*eval_model_, test);
+  nn::unflatten_into_values(locals_[k], runner_.model().parameters());
+  return evaluate_accuracy(runner_.model(), test);
 }
 
 }  // namespace mdl::federated

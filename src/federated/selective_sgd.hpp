@@ -12,6 +12,7 @@
 #include "ckpt/checkpoint.hpp"
 #include "federated/common.hpp"
 #include "federated/population.hpp"
+#include "federated/round_runner.hpp"
 
 namespace mdl::federated {
 
@@ -65,54 +66,41 @@ class SelectiveSGDTrainer {
   /// round entirely; a failed upload keeps the local replica's progress but
   /// never reaches the parameter server (bytes counted as wasted); a
   /// quorum-aborted round discards every upload.
-  void attach_network(sim::SimNetwork* net) { net_ = net; }
+  void attach_network(sim::SimNetwork* net) { runner_.attach_network(net); }
 
   /// Prices every exchange in entropy-coded wire bytes (non-owning; must
   /// outlive run()). Sparse top-k payloads travel as varint index deltas +
   /// quantized values through the codec; the ledger bills encoded bytes
   /// while bytes_*_raw keeps the float/coord bill. Training math is
   /// unchanged. nullptr restores raw accounting.
-  void attach_wire_codec(const WireCodec* codec) { wire_ = codec; }
+  void attach_wire_codec(const WireCodec* codec) {
+    runner_.attach_wire_codec(codec);
+  }
 
-  const CommLedger& ledger() const { return ledger_; }
-  std::int64_t model_size() const { return model_size_; }
+  const CommLedger& ledger() const { return runner_.ledger(); }
+  std::int64_t model_size() const { return runner_.model_size(); }
   /// The server's flat parameter vector (bit-exact state, e.g. for the
   /// cross-thread-count determinism tests).
   const std::vector<float>& global_parameters() const { return global_; }
   /// Workspace models currently allocated — capped at the chunk count,
   /// never the participant count.
-  std::size_t worker_pool_size() const { return client_workers_.size(); }
+  std::size_t worker_pool_size() const { return runner_.worker_pool_size(); }
 
  private:
-  /// Complete run state: seed guards, current LR, RNG, the server's
-  /// parameter/version vectors, every participant replica + its sync state,
-  /// and the communication ledger.
+  /// Run state after the runner's prefix: the current LR, the server's
+  /// parameter/version vectors, and every participant replica + its sync
+  /// state.
   void save_state(BinaryWriter& w) const;
   void load_state(BinaryReader& r);
 
-  /// Grows the per-chunk workspace pool (throwaway-RNG models whose
-  /// weights are overwritten before use; rng_ stream untouched). Capped at
-  /// the chunk count — participants within a chunk train sequentially and
-  /// reuse the slot.
-  void ensure_client_workers(std::size_t n);
-
-  ModelFactory factory_;
-  std::shared_ptr<const ClientPopulation> population_;
   SelectiveSGDConfig config_;
-  Rng rng_;
-  std::unique_ptr<nn::Sequential> eval_model_;  ///< workspace for evaluation
-  /// Isolated workspaces for the parallel local-training pass.
-  std::vector<std::unique_ptr<nn::Sequential>> client_workers_;
-  /// Per-chunk scratch datasets for virtual-population shard generation.
-  std::vector<data::TabularDataset> shard_scratch_;
+  /// Owns the evaluation model (runner_.model()), the workspaces and the
+  /// ledger.
+  RoundRunner runner_;
   std::vector<float> global_;                   ///< server parameter vector
   std::vector<std::uint32_t> version_;          ///< per-coordinate update count
   std::vector<std::vector<float>> locals_;      ///< per-participant replicas
   std::vector<std::uint32_t> seen_version_;     ///< per-participant sync state
-  std::int64_t model_size_ = 0;
-  CommLedger ledger_;
-  sim::SimNetwork* net_ = nullptr;
-  const WireCodec* wire_ = nullptr;
 };
 
 }  // namespace mdl::federated

@@ -1,98 +1,51 @@
 #include "privacy/dp_fedavg.hpp"
 
-#include <chrono>
-#include <cmath>
+#include <limits>
 
-#include "core/threadpool.hpp"
 #include "obs/flight.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "privacy/mechanisms.hpp"
-#include "sim/sim_network.hpp"
 
 namespace mdl::privacy {
 
 namespace {
-// v2 appended the population fingerprint; v3 the wire-codec flag. v1
-// archives resume unguarded.
-constexpr std::uint32_t kDpFedAvgStateVersion = 3;
+// v4: the shared RoundRunner prefix (which adds the ledger); older archives
+// are refused.
+constexpr std::uint32_t kDpFedAvgStateVersion = 4;
 }
 
 void DpFedAvgTrainer::save_state(BinaryWriter& w) const {
-  ckpt::write_state_header(w, "dp_fedavg", kDpFedAvgStateVersion);
-  w.write_u64(config_.seed);
-  w.write_u8(net_ != nullptr ? 1 : 0);
-  if (net_ != nullptr) w.write_u64(net_->plan().seed);
+  runner_.write_prefix(w, kDpFedAvgStateVersion);
   w.write_f64(config_.client_lr);
-  rng_.serialize(w);
-  w.write_f32_vector(nn::flatten_values(global_->parameters()));
+  w.write_f32_vector(nn::flatten_values(runner_.model().parameters()));
   accountant_.serialize(w);
-  w.write_u64(population_->fingerprint());
-  w.write_u8(wire_ != nullptr ? 1 : 0);
 }
 
 void DpFedAvgTrainer::load_state(BinaryReader& r) {
-  const std::uint32_t stored =
-      ckpt::read_state_header(r, "dp_fedavg", kDpFedAvgStateVersion);
-  const std::uint64_t seed = r.read_u64();
-  MDL_CHECK(seed == config_.seed, "checkpoint was written with seed "
-                                      << seed << ", run uses "
-                                      << config_.seed);
-  const bool had_net = r.read_u8() != 0;
-  MDL_CHECK(had_net == (net_ != nullptr),
-            "checkpoint and run disagree on fault-network attachment");
-  if (had_net) {
-    const std::uint64_t plan_seed = r.read_u64();
-    MDL_CHECK(plan_seed == net_->plan().seed,
-              "checkpoint fault plan seed " << plan_seed << " vs "
-                                            << net_->plan().seed);
-  }
-  config_.client_lr = r.read_f64();
-  rng_ = Rng::deserialize(r);
-  const std::vector<float> w_global = r.read_f32_vector();
-  const auto params = global_->parameters();
-  MDL_CHECK(static_cast<std::int64_t>(w_global.size()) ==
-                nn::total_size(params),
-            "checkpoint model has " << w_global.size() << " params, expected "
-                                    << nn::total_size(params));
-  nn::unflatten_into_values(w_global, params);
-  accountant_ = MomentsAccountant::deserialize(r);
-  if (stored >= 2) {
-    const std::uint64_t fp = r.read_u64();
-    MDL_CHECK(fp == population_->fingerprint(),
-              "checkpoint population fingerprint "
-                  << fp << " vs " << population_->fingerprint()
-                  << " — resumed against a different client population");
-  }
-  if (stored >= 3) {
-    const bool had_wire = r.read_u8() != 0;
-    MDL_CHECK(had_wire == (wire_ != nullptr),
-              "checkpoint and run disagree on wire-codec attachment");
-  } else {
-    MDL_CHECK(wire_ == nullptr,
-              "cannot resume a pre-codec checkpoint with a wire codec");
-  }
+  federated::RoundRunner::Prefix prefix =
+      runner_.read_prefix(r, kDpFedAvgStateVersion);
+  const double client_lr = r.read_f64();
+  const std::vector<float> w_global = runner_.read_params(r);
+  MomentsAccountant accountant = MomentsAccountant::deserialize(r);
+  runner_.restore(std::move(prefix));
+  config_.client_lr = client_lr;
+  nn::unflatten_into_values(w_global, runner_.model().parameters());
+  accountant_ = std::move(accountant);
 }
 
 DpFedAvgTrainer::DpFedAvgTrainer(
     federated::ModelFactory factory,
     std::shared_ptr<const federated::ClientPopulation> population,
     DpFedAvgConfig config)
-    : factory_(std::move(factory)),
-      population_(std::move(population)),
-      config_(config),
-      rng_(config.seed) {
-  MDL_CHECK(population_ != nullptr && population_->size() > 0,
-            "need at least one client shard");
+    : config_(config),
+      runner_("dp_fedavg", "client_update", std::move(factory),
+              std::move(population), config.seed, /*rng_workspace=*/true) {
   MDL_CHECK(config_.client_sample_prob > 0.0 &&
                 config_.client_sample_prob <= 1.0,
             "client sample probability must be in (0, 1]");
   MDL_CHECK(config_.clip_norm > 0.0, "clip norm must be positive");
   MDL_CHECK(config_.noise_multiplier >= 0.0, "noise multiplier must be >= 0");
   MDL_CHECK(config_.agg_shards > 0, "agg_shards must be positive");
-  global_ = factory_(rng_);
-  client_workers_.push_back(factory_(rng_));
-  shard_scratch_.resize(1);
 }
 
 DpFedAvgTrainer::DpFedAvgTrainer(federated::ModelFactory factory,
@@ -103,146 +56,71 @@ DpFedAvgTrainer::DpFedAvgTrainer(federated::ModelFactory factory,
                           std::move(shards)),
                       config) {}
 
-void DpFedAvgTrainer::ensure_client_workers(std::size_t n) {
-  while (client_workers_.size() < n) {
-    Rng scratch(config_.seed ^ (0x9E3779B97F4A7C15ULL *
-                                (client_workers_.size() + 1)));
-    client_workers_.push_back(factory_(scratch));
-  }
-  if (shard_scratch_.size() < n) shard_scratch_.resize(n);
-}
-
 std::vector<DpRoundStats> DpFedAvgTrainer::run(
     const data::TabularDataset& test) {
-  const auto global_params = global_->parameters();
-  const std::size_t p_count =
-      static_cast<std::size_t>(nn::total_size(global_params));
-  const double expected_cohort =
-      config_.client_sample_prob * static_cast<double>(population_->size());
+  const auto global_params = runner_.model().parameters();
+  const auto p_count = static_cast<std::size_t>(runner_.model_size());
+  const std::uint64_t model_raw = static_cast<std::uint64_t>(p_count) * 4;
+  const double expected_cohort = config_.client_sample_prob *
+                                 static_cast<double>(runner_.population().size());
+  const federated::WireCodec* wire = runner_.wire();
+  federated::CommLedger& ledger = runner_.ledger();
 
   std::vector<DpRoundStats> history;
   history.reserve(static_cast<std::size_t>(config_.rounds));
 
-  ckpt::TrainerGuard guard(config_.checkpoint, config_.health, "dp_fedavg");
-  const ckpt::PayloadWriter save = [this](BinaryWriter& w) { save_state(w); };
-  const ckpt::PayloadReader load = [this](BinaryReader& r) { load_state(r); };
-  const std::int64_t start_round = guard.begin(save, load) + 1;
-
-  for (std::int64_t round = start_round; round <= config_.rounds; ++round) {
+  const auto round_fn = [&](std::int64_t round) {
     MDL_OBS_SPAN_T("dp_fedavg.round", obs::track_round(round));
     const std::vector<float> w_global = nn::flatten_values(global_params);
-    std::vector<double> update_sum(p_count, 0.0);
+    // With a wire codec the exchange is sized by the encoded broadcast —
+    // the clipped deltas' exact encoded sizes only exist after training.
     const std::uint64_t broadcast_wire =
-        wire_ != nullptr ? wire_->dense_wire_bytes(w_global)
-                         : static_cast<std::uint64_t>(p_count) * 4;
+        wire != nullptr ? wire->dense_wire_bytes(w_global) : model_raw;
 
-    DpRoundStats stats;
+    // Modification 1 — independent sampling. The sampled cohort runs the
+    // gauntlet of the fault plan; lost updates just shrink the realized
+    // cohort — the fixed-denominator estimator keeps the sensitivity
+    // bound, so no DP correction is needed.
+    federated::RoundStats stats;
     stats.round = round;
-    double round_loss = 0.0;
-    std::int64_t clients_run = 0;
-
-    // Prologue (sequential): modification 1 — independent sampling — and
-    // the per-client RNG forks, both consuming rng_ in fixed order so the
-    // stream matches the serial formulation exactly.
-    std::vector<std::size_t> participants;
-    std::vector<Rng> client_rngs;
-    bool aborted = false;
-    if (net_ != nullptr) {
-      // The sampled cohort runs the gauntlet of the fault plan. Lost
-      // updates just shrink the realized cohort — the fixed-denominator
-      // estimator keeps the sensitivity bound, so no DP correction is
-      // needed.
-      const std::vector<std::size_t> sampled = federated::
-          sample_bernoulli_cohort(rng_, population_->size(),
-                                  config_.client_sample_prob);
-      // With a wire codec the exchange is sized by the encoded broadcast —
-      // the clipped deltas' exact encoded sizes only exist after training
-      // and are billed to the sim.bytes_up_compressed counter below.
-      const sim::RoundReport report =
-          net_->run_round(round, sampled, broadcast_wire, broadcast_wire);
-      aborted = report.aborted;
-      stats.clients_selected = static_cast<std::int64_t>(sampled.size());
-      stats.clients_delivered = report.delivered;
-      stats.aborted = aborted;
-      if (!aborted)
-        for (const sim::ClientExchange& ex : report.clients)
-          if (ex.delivered()) {
-            participants.push_back(ex.client);
-            client_rngs.push_back(rng_.fork());
-          }
-    } else {
-      participants = federated::sample_bernoulli_cohort(
-          rng_, population_->size(), config_.client_sample_prob);
-      stats.clients_selected = static_cast<std::int64_t>(participants.size());
-      client_rngs.reserve(participants.size());
-      for (std::size_t c = 0; c < participants.size(); ++c)
-        client_rngs.push_back(rng_.fork());
-      stats.clients_delivered = stats.clients_selected;
-    }
-
-    // Parallel phase: participants are partitioned into
-    // min(cohort, agg_shards) contiguous chunks; each chunk trains its
-    // clients sequentially in a reused workspace, clipping every update to
-    // S (modification 2) and streaming it into a private double
-    // accumulator. Chunk accumulators reduce in fixed order after the
-    // join, so the aggregate is bit-identical at every thread count (and
-    // to the sequential sum whenever cohort <= agg_shards).
+    const std::vector<std::size_t> sampled = federated::sample_bernoulli_cohort(
+        runner_.rng(), runner_.population().size(), config_.client_sample_prob);
+    const federated::RoundRunner::Cohort cohort = runner_.exchange(
+        round, sampled, broadcast_wire, broadcast_wire, stats);
+    for (std::size_t c = 0; c < cohort.reached.size(); ++c)
+      ledger.encoded_down(broadcast_wire, model_raw);
+    const std::vector<std::size_t>& participants = cohort.survivors;
     const std::size_t n_clients = participants.size();
-    const std::vector<federated::ChunkRange> chunks = federated::chunk_ranges(
-        n_clients, static_cast<std::size_t>(config_.agg_shards));
-    ensure_client_workers(chunks.size());
+
+    // Every update is clipped to S (modification 2) and summed into its
+    // chunk's accumulator; with cohort <= agg_shards the sum is the
+    // sequential one bit for bit.
     std::vector<double> client_loss(n_clients, 0.0);
-    std::vector<double> client_us(n_clients, 0.0);
-    std::vector<std::uint64_t> delta_wire(n_clients, 0);
-    std::vector<std::vector<double>> chunk_acc(chunks.size());
-    parallel_for(shared_pool(), chunks.size(), [&](std::size_t s) {
-      nn::Sequential& worker = *client_workers_[s];
-      const auto worker_params = worker.parameters();
-      data::TabularDataset& scratch = shard_scratch_[s];
-      std::vector<double>& acc = chunk_acc[s];
-      acc.assign(p_count, 0.0);
-      for (std::size_t c = chunks[s].begin; c < chunks[s].end; ++c) {
-        MDL_OBS_SPAN_T("client_update",
-                       obs::track_round_client(round, participants[c]));
-        const auto t0 = std::chrono::steady_clock::now();
-        nn::unflatten_into_values(w_global, worker_params);
-        client_loss[c] = federated::local_sgd(
-            worker, population_->shard(participants[c], scratch),
-            config_.local_epochs, config_.batch_size, config_.client_lr,
-            client_rngs[c]);
-        std::vector<float> update = nn::flatten_values(worker_params);
-        for (std::size_t i = 0; i < p_count; ++i) update[i] -= w_global[i];
-        nn::clip_l2(update, config_.clip_norm);  // modification 2
-        // Encoded size of the DP-clipped delta this client would upload;
-        // the codec encode is pure, so the call is race-free.
-        if (wire_ != nullptr) delta_wire[c] = wire_->dense_wire_bytes(update);
-        for (std::size_t i = 0; i < p_count; ++i)
-          acc[i] += static_cast<double>(update[i]);
-        client_us[c] = std::chrono::duration<double, std::micro>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count();
-      }
-    });
-    for (const std::vector<double>& acc : chunk_acc)
-      for (std::size_t i = 0; i < acc.size(); ++i) update_sum[i] += acc[i];
+    std::vector<std::uint64_t> delta_wire(n_clients, model_raw);
+    const std::vector<double> update_sum = runner_.client_pass(
+        round, participants, static_cast<std::size_t>(config_.agg_shards),
+        p_count, [&](const federated::RoundRunner::Client& client) {
+          nn::unflatten_into_values(w_global, client.params);
+          client_loss[client.index] = federated::local_sgd(
+              client.model, client.shard, config_.local_epochs,
+              config_.batch_size, config_.client_lr, client.rng);
+          std::vector<float> update = nn::flatten_values(client.params);
+          for (std::size_t i = 0; i < p_count; ++i) update[i] -= w_global[i];
+          nn::clip_l2(update, config_.clip_norm);  // modification 2
+          // Encoded size of the DP-clipped delta this client uploads; the
+          // codec encode is pure, so the call is race-free.
+          if (wire != nullptr)
+            delta_wire[client.index] = wire->dense_wire_bytes(update);
+          for (std::size_t i = 0; i < p_count; ++i)
+            client.acc[i] += static_cast<double>(update[i]);
+        });
+    double round_loss = 0.0;
     for (std::size_t c = 0; c < n_clients; ++c) {
       round_loss += client_loss[c];
-      ++clients_run;
-      MDL_OBS_HISTOGRAM_OBSERVE("dp_fedavg.client_us", client_us[c]);
-    }
-    if (wire_ != nullptr) {
-      std::uint64_t up_wire = 0;
-      for (const std::uint64_t b : delta_wire) up_wire += b;
-      const std::uint64_t n = n_clients;
-      MDL_OBS_COUNTER_ADD("sim.bytes_up_compressed", up_wire);
-      MDL_OBS_COUNTER_ADD("sim.bytes_down_compressed", n * broadcast_wire);
-      MDL_OBS_COUNTER_ADD("sim.bytes_up_raw",
-                          n * static_cast<std::uint64_t>(p_count) * 4);
-      MDL_OBS_COUNTER_ADD("sim.bytes_down_raw",
-                          n * static_cast<std::uint64_t>(p_count) * 4);
+      ledger.encoded_up(delta_wire[c], model_raw);
     }
 
-    if (!aborted) {
+    if (!stats.aborted) {
       // Modifications 3 + 4: fixed-denominator estimator + Gaussian noise
       // of stddev z * S / (p K) on the averaged update.
       const double sigma =
@@ -250,7 +128,7 @@ std::vector<DpRoundStats> DpFedAvgTrainer::run(
       std::vector<float> w_next(p_count);
       for (std::size_t i = 0; i < p_count; ++i) {
         const double avg_update = update_sum[i] / expected_cohort +
-                                  rng_.normal(0.0, sigma);
+                                  runner_.rng().normal(0.0, sigma);
         w_next[i] = w_global[i] + static_cast<float>(avg_update);
       }
       nn::unflatten_into_values(w_next, global_params);
@@ -263,31 +141,31 @@ std::vector<DpRoundStats> DpFedAvgTrainer::run(
     // the moments accountant is not charged.
 
     stats.train_loss =
-        clients_run > 0 ? round_loss / static_cast<double>(clients_run) : 0.0;
-    stats.test_accuracy = federated::evaluate_accuracy(*global_, test);
-    stats.epsilon = config_.noise_multiplier > 0.0
-                        ? accountant_.epsilon(config_.delta)
-                        : std::numeric_limits<double>::infinity();
+        n_clients > 0 ? round_loss / static_cast<double>(n_clients) : 0.0;
+    stats.test_accuracy = federated::evaluate_accuracy(runner_.model(), test);
+    stats.cumulative_bytes = ledger.total();
+    const double epsilon = config_.noise_multiplier > 0.0
+                               ? accountant_.epsilon(config_.delta)
+                               : std::numeric_limits<double>::infinity();
 
     // Health gate over the released model. The noisy release can contain
     // non-finite values if training blew up; rollback also rewinds the
     // accountant so the undone round's budget charge is not double-counted.
     const std::vector<float> w_now = nn::flatten_values(global_params);
-    const std::optional<double> health_loss =
-        clients_run > 0 ? std::optional<double>(stats.train_loss)
-                        : std::nullopt;
-    const ckpt::TrainerGuard::Verdict verdict =
-        guard.end_of_round(round, health_loss, w_now, save, load);
-    stats.rolled_back = verdict.rolled_back;
-    history.push_back(stats);
-
-    if (verdict.rolled_back) {
-      if (verdict.give_up) break;
-      config_.client_lr *=
-          std::pow(verdict.lr_scale, static_cast<double>(guard.rollbacks()));
-      round = verdict.resume_round;
-    }
-  }
+    stats.rolled_back = runner_.end_round(
+        round,
+        n_clients > 0 ? std::optional<double>(stats.train_loss) : std::nullopt,
+        w_now);
+    history.push_back({round, stats.test_accuracy, stats.train_loss, epsilon,
+                       stats.clients_selected, stats.clients_delivered,
+                       stats.aborted, stats.rolled_back});
+    runner_.publish(stats);
+    return false;
+  };
+  runner_.run(
+      config_.rounds, config_.checkpoint, config_.health, config_.client_lr,
+      [this](BinaryWriter& w) { save_state(w); },
+      [this](BinaryReader& r) { load_state(r); }, round_fn);
   return history;
 }
 

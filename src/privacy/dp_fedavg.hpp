@@ -17,6 +17,7 @@
 #include "ckpt/checkpoint.hpp"
 #include "federated/common.hpp"
 #include "federated/population.hpp"
+#include "federated/round_runner.hpp"
 #include "privacy/accountant.hpp"
 
 namespace mdl::privacy {
@@ -75,43 +76,35 @@ class DpFedAvgTrainer {
   /// realized cohort — the fixed-denominator estimator (modification 3)
   /// already bounds sensitivity, so dropout needs no DP correction. A
   /// quorum-aborted round releases nothing and charges no privacy budget.
-  void attach_network(sim::SimNetwork* net) { net_ = net; }
+  void attach_network(sim::SimNetwork* net) { runner_.attach_network(net); }
 
   /// Prices the round's exchanges in entropy-coded wire bytes (non-owning;
   /// must outlive run()): the simulated network sizes transfers by the
-  /// encoded broadcast, and the sim.bytes_*_compressed counters bill each
-  /// participant's true encoded clipped delta. Training math and the
-  /// privacy accounting are unchanged. nullptr restores raw sizing.
-  void attach_wire_codec(const federated::WireCodec* codec) { wire_ = codec; }
+  /// encoded broadcast, and the ledger bills each participant's true
+  /// encoded clipped delta. Training math and the privacy accounting are
+  /// unchanged. nullptr restores raw sizing.
+  void attach_wire_codec(const federated::WireCodec* codec) {
+    runner_.attach_wire_codec(codec);
+  }
 
-  nn::Sequential& global_model() { return *global_; }
+  nn::Sequential& global_model() { return runner_.model(); }
   const MomentsAccountant& accountant() const { return accountant_; }
+  /// Bytes moved, billed like FedAvg's: the broadcast to every client that
+  /// did not drop out, each accepted clipped delta, and wasted uplink.
+  const federated::CommLedger& ledger() const { return runner_.ledger(); }
   /// Workspace models currently allocated — capped at
   /// min(cohort, agg_shards), never the population size.
-  std::size_t worker_pool_size() const { return client_workers_.size(); }
+  std::size_t worker_pool_size() const { return runner_.worker_pool_size(); }
 
  private:
-  /// Complete run state: seed guards, current client LR, RNG, flattened
-  /// global model, and the accountant's spent RDP.
+  /// Run state after the runner's prefix: the current client LR, the
+  /// flattened global model, and the accountant's spent RDP.
   void save_state(BinaryWriter& w) const;
   void load_state(BinaryReader& r);
 
-  /// Grows the per-chunk workspace pool (throwaway-RNG models whose
-  /// weights are overwritten before use; rng_ stream untouched).
-  void ensure_client_workers(std::size_t n);
-
-  federated::ModelFactory factory_;
-  std::shared_ptr<const federated::ClientPopulation> population_;
   DpFedAvgConfig config_;
-  Rng rng_;
-  std::unique_ptr<nn::Sequential> global_;
-  /// Per-chunk workspaces for the parallel local-training pass.
-  std::vector<std::unique_ptr<nn::Sequential>> client_workers_;
-  /// Per-chunk scratch datasets for virtual-population shard generation.
-  std::vector<data::TabularDataset> shard_scratch_;
+  federated::RoundRunner runner_;
   MomentsAccountant accountant_;
-  sim::SimNetwork* net_ = nullptr;
-  const federated::WireCodec* wire_ = nullptr;
 };
 
 }  // namespace mdl::privacy

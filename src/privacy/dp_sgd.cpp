@@ -136,7 +136,7 @@ DpSgdResult train_dp_sgd(nn::Sequential& model,
         std::span<const float>(nn::flatten_values(params)), save, load);
     if (verdict.rolled_back) {
       if (verdict.give_up) break;
-      lr *= std::pow(verdict.lr_scale, static_cast<double>(guard.rollbacks()));
+      lr *= verdict.lr_scale;
       epoch = verdict.resume_round - 1;  // ++ resumes at resume_round
     }
   }

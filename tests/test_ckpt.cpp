@@ -323,6 +323,19 @@ TEST_F(CkptFixture, WrongTrainerTagRejected) {
     read_state_header(r, "dp_sgd", 1);
   }),
             std::nullopt);
+
+  // One accepted version per format: an older state layout is refused.
+  EXPECT_EQ(mgr.load_latest([](BinaryReader& r) {
+    read_state_header(r, "fedavg", 2);
+  }),
+            std::nullopt);
+  EXPECT_THROW(decode_archive(encode_archive([](BinaryWriter& w) {
+                                write_state_header(w, "fedavg", 3);
+                              }),
+                              [](BinaryReader& r) {
+                                read_state_header(r, "fedavg", 4);
+                              }),
+               Error);
 }
 
 // ---------------------------------------------------------- HealthMonitor --
@@ -719,6 +732,44 @@ TEST_F(TrainerFixture, DivergenceRollbackRestoresLastGoodAndDecaysLr) {
     EXPECT_TRUE(std::isfinite(v));
 }
 
+TEST_F(TrainerFixture, SelectiveSgdDivergenceRollbackKeepsParamsFinite) {
+  federated::SelectiveSGDConfig cfg;
+  cfg.rounds = 8;
+  cfg.lr = 25.0;  // diverges
+  cfg.health.warmup_rounds = 0;
+  cfg.health.divergence_factor = 2.0;
+  cfg.health.max_rollbacks = 2;
+
+  federated::SelectiveSGDTrainer trainer(factory, shards, cfg);
+  const auto history = trainer.run(test_set);
+
+  bool saw_rollback = false;
+  for (const auto& rs : history) saw_rollback |= rs.rolled_back;
+  EXPECT_TRUE(saw_rollback);
+  for (const float v : trainer.global_parameters())
+    EXPECT_TRUE(std::isfinite(v));
+}
+
+TEST_F(TrainerFixture, DpFedAvgDivergenceRollbackKeepsParamsFinite) {
+  privacy::DpFedAvgConfig cfg;
+  cfg.rounds = 8;
+  cfg.client_sample_prob = 0.75;
+  cfg.local_epochs = 1;
+  cfg.client_lr = 25.0;  // diverges
+  cfg.health.warmup_rounds = 0;
+  cfg.health.divergence_factor = 2.0;
+  cfg.health.max_rollbacks = 2;
+
+  privacy::DpFedAvgTrainer trainer(factory, shards, cfg);
+  const auto history = trainer.run(test_set);
+
+  bool saw_rollback = false;
+  for (const auto& rs : history) saw_rollback |= rs.rolled_back;
+  EXPECT_TRUE(saw_rollback);
+  for (const float v : nn::flatten_values(trainer.global_model().parameters()))
+    EXPECT_TRUE(std::isfinite(v));
+}
+
 TEST_F(TrainerFixture, HealthDisabledKeepsLegacyBehaviour) {
   federated::FedAvgConfig cfg;
   cfg.rounds = 4;
@@ -750,6 +801,14 @@ TEST(RoundStatsSerde, V2RoundTripsRolledBack) {
   std::istringstream is(os.str());
   BinaryReader r(is);
   EXPECT_EQ(federated::deserialize_round_stats(r), s);
+
+  // A v1 record (no `rolled_back`) is refused, not defaulted.
+  std::string v1 = os.str();
+  v1[0] = 1;  // little-endian u32 version
+  v1.pop_back();
+  std::istringstream is1(v1);
+  BinaryReader r1(is1);
+  EXPECT_THROW(federated::deserialize_round_stats(r1), Error);
 }
 
 }  // namespace

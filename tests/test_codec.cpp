@@ -20,7 +20,10 @@
 #include "data/synthetic.hpp"
 #include "federated/fedavg.hpp"
 #include "federated/selective_sgd.hpp"
+#include "obs/metrics.hpp"
+#include "privacy/dp_fedavg.hpp"
 #include "prop.hpp"
+#include "sim/sim_network.hpp"
 
 namespace mdl::compress {
 namespace {
@@ -433,6 +436,56 @@ TEST_F(CodecFederatedTest, SelectiveSgdCodecShrinksSparseBytes) {
   EXPECT_EQ(coded.ledger().bytes_down_raw, raw.ledger().bytes_down);
   EXPECT_LT(coded.ledger().bytes_up, coded.ledger().bytes_up_raw);
   EXPECT_LT(coded.ledger().bytes_down, coded.ledger().bytes_down_raw);
+}
+
+TEST_F(CodecFederatedTest, DpFedAvgCodecKeepsTrainingAndLedgerMatchesCounters) {
+  privacy::DpFedAvgConfig cfg;
+  cfg.rounds = 3;
+  cfg.client_sample_prob = 0.7;
+  cfg.local_epochs = 1;
+
+  privacy::DpFedAvgTrainer raw(factory, shards, cfg);
+  const auto hraw = raw.run(test_set);
+
+  const QuantizedWireCodec wire;
+  privacy::DpFedAvgTrainer coded(factory, shards, cfg);
+  coded.attach_wire_codec(&wire);
+  const auto hcoded = coded.run(test_set);
+
+  // The codec prices the clipped deltas; the noisy releases are untouched.
+  ASSERT_EQ(hraw.size(), hcoded.size());
+  for (std::size_t i = 0; i < hraw.size(); ++i) {
+    EXPECT_EQ(hraw[i].test_accuracy, hcoded[i].test_accuracy);
+    EXPECT_EQ(hraw[i].train_loss, hcoded[i].train_loss);
+    EXPECT_EQ(hraw[i].epsilon, hcoded[i].epsilon);
+    EXPECT_EQ(hraw[i].clients_selected, hcoded[i].clients_selected);
+  }
+  EXPECT_EQ(nn::flatten_values(raw.global_model().parameters()),
+            nn::flatten_values(coded.global_model().parameters()));
+
+  // Through a lossy network the ledger also bills failed clients'
+  // downloads and wasted uplink, exactly as the sim.bytes_* counters do.
+  sim::FaultPlan plan;
+  plan.seed = 7;
+  plan.dropout_prob = 0.2;
+  plan.truncation_prob = 0.3;
+  plan.max_retries = 1;
+  plan.min_quorum = 1;
+  sim::SimNetwork net(plan);
+  privacy::DpFedAvgTrainer faulty(factory, shards, cfg);
+  faulty.attach_network(&net);
+  faulty.attach_wire_codec(&wire);
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  const std::uint64_t up0 = reg.counter("sim.bytes_up_compressed").value();
+  const std::uint64_t down0 = reg.counter("sim.bytes_down_compressed").value();
+  faulty.run(test_set);
+  const federated::CommLedger& ledger = faulty.ledger();
+  EXPECT_GT(net.counters().bytes_wasted, 0U);
+  EXPECT_LT(ledger.bytes_down, ledger.bytes_down_raw);
+  if (obs::kEnabled)
+    EXPECT_EQ(ledger.total(),
+              (reg.counter("sim.bytes_up_compressed").value() - up0) +
+                  (reg.counter("sim.bytes_down_compressed").value() - down0));
 }
 
 }  // namespace

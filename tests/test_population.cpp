@@ -435,5 +435,86 @@ TEST_F(PopulationTrainers, CheckpointGuardsPopulationFingerprint) {
   fs::remove_all(dir);
 }
 
+// A resume the fingerprint guard refuses must leave no trace: checkpoints
+// written against `pop` are offered to a run on a different population, and
+// that run must equal a fresh one — history and final parameters, bit for
+// bit. Every guard has to fire before any state is assigned, or the
+// "fresh" run trains from a half-restored trainer.
+std::vector<float> final_params(FedAvgTrainer& t) {
+  return nn::flatten_values(t.global_model().parameters());
+}
+std::vector<float> final_params(SelectiveSGDTrainer& t) {
+  return t.global_parameters();
+}
+std::vector<float> final_params(privacy::DpFedAvgTrainer& t) {
+  return nn::flatten_values(t.global_model().parameters());
+}
+bool same_round(const RoundStats& a, const RoundStats& b) { return a == b; }
+bool same_round(const privacy::DpRoundStats& a,
+                const privacy::DpRoundStats& b) {
+  return a.round == b.round && a.test_accuracy == b.test_accuracy &&
+         a.train_loss == b.train_loss && a.epsilon == b.epsilon &&
+         a.clients_selected == b.clients_selected &&
+         a.clients_delivered == b.clients_delivered &&
+         a.aborted == b.aborted && a.rolled_back == b.rolled_back;
+}
+
+template <class Trainer, class Config>
+void expect_refused_resume_is_fresh(const PopulationTrainers& fx,
+                                    Config cfg) {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  const std::string dir =
+      (fs::temp_directory_path() / (std::string("mdl_pop_") + info->name()))
+          .string();
+  fs::remove_all(dir);
+  auto other_cfg = small_config();
+  other_cfg.population_seed += 1;
+  const auto other = std::make_shared<VirtualPopulation>(other_cfg);
+
+  Trainer fresh(fx.factory, other, cfg);
+  const auto expected = fresh.run(fx.test_set);
+
+  Config writer = cfg;
+  writer.rounds = 2;
+  writer.checkpoint.dir = dir;
+  Trainer(fx.factory, fx.pop, writer).run(fx.test_set);
+
+  Config resume = cfg;
+  resume.checkpoint.dir = dir;
+  resume.checkpoint.resume = true;
+  Trainer refused(fx.factory, other, resume);
+  const auto history = refused.run(fx.test_set);
+
+  ASSERT_EQ(history.size(), expected.size());
+  for (std::size_t i = 0; i < history.size(); ++i)
+    EXPECT_TRUE(same_round(history[i], expected[i])) << "round " << i + 1;
+  EXPECT_TRUE(bits_equal(final_params(refused), final_params(fresh)));
+  fs::remove_all(dir);
+}
+
+TEST_F(PopulationTrainers, RefusedResumeMatchesFreshRunFedAvg) {
+  FedAvgConfig cfg;
+  cfg.rounds = 3;
+  cfg.clients_per_round = 4;
+  cfg.local_epochs = 1;
+  expect_refused_resume_is_fresh<FedAvgTrainer>(*this, cfg);
+}
+
+TEST_F(PopulationTrainers, RefusedResumeMatchesFreshRunSelectiveSgd) {
+  SelectiveSGDConfig cfg;
+  cfg.rounds = 3;
+  cfg.upload_fraction = 0.2;
+  cfg.download_fraction = 0.5;
+  expect_refused_resume_is_fresh<SelectiveSGDTrainer>(*this, cfg);
+}
+
+TEST_F(PopulationTrainers, RefusedResumeMatchesFreshRunDpFedAvg) {
+  privacy::DpFedAvgConfig cfg;
+  cfg.rounds = 3;
+  cfg.client_sample_prob = 0.2;
+  cfg.local_epochs = 1;
+  expect_refused_resume_is_fresh<privacy::DpFedAvgTrainer>(*this, cfg);
+}
+
 }  // namespace
 }  // namespace mdl::federated
