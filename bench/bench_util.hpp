@@ -15,7 +15,6 @@
 #include "ckpt/checkpoint.hpp"
 #include "core/gemm.hpp"
 #include "core/threadpool.hpp"
-#include "obs/export.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/resource.hpp"

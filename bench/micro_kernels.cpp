@@ -1,14 +1,13 @@
 // E12 — supporting microbenchmarks (google-benchmark): the numeric kernels
 // the experiments stand on. Useful for spotting performance regressions in
-// matmul, the GRU step, sparse matvec, Huffman coding, quantization, and
-// tree-ensemble prediction.
+// matmul, the GRU step, sparse matvec, quantization, and tree-ensemble
+// prediction. The entropy coder has its own bench (codec_throughput).
 #include <benchmark/benchmark.h>
 
 #include <string_view>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "compress/huffman.hpp"
 #include "compress/int8.hpp"
 #include "compress/prune.hpp"
 #include "compress/quantize.hpp"
@@ -231,35 +230,6 @@ void BM_DenseMatvec(benchmark::State& state) {
 }
 BENCHMARK(BM_DenseMatvec);
 
-void BM_HuffmanEncode(benchmark::State& state) {
-  Rng rng(7);
-  std::vector<std::uint32_t> symbols(16384);
-  for (auto& s : symbols)
-    s = rng.bernoulli(0.8) ? 0U
-                           : static_cast<std::uint32_t>(rng.uniform_int(32));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(compress::huffman_encode(symbols, 32));
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<std::int64_t>(symbols.size()));
-}
-BENCHMARK(BM_HuffmanEncode);
-
-void BM_HuffmanDecode(benchmark::State& state) {
-  Rng rng(8);
-  std::vector<std::uint32_t> symbols(16384);
-  for (auto& s : symbols)
-    s = rng.bernoulli(0.8) ? 0U
-                           : static_cast<std::uint32_t>(rng.uniform_int(32));
-  const auto enc = compress::huffman_encode(symbols, 32);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(compress::huffman_decode(enc));
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<std::int64_t>(symbols.size()));
-}
-BENCHMARK(BM_HuffmanDecode);
-
 void BM_QuantizeKmeans(benchmark::State& state) {
   Rng rng(9);
   Tensor t = Tensor::randn({128, 128}, rng);
@@ -316,7 +286,7 @@ class JsonlReporter : public benchmark::ConsoleReporter {
 int main(int argc, char** argv) {
   mdl::bench::banner("E12", "supporting microbenchmarks",
                      "Numeric-kernel timings (matmul, GRU, sparse matvec, "
-                     "Huffman, quantization,\nforest prediction) via "
+                     "quantization,\nforest prediction) via "
                      "google-benchmark.");
   mdl::bench::init_logging(argc, argv);
   // Strip the flags google-benchmark does not understand before handing

@@ -1,7 +1,8 @@
 // E5 — §III-B: model compression and acceleration. Reproduces the three
 // approaches the paper surveys with exact storage accounting:
 //   1. parameter pruning + k-means weight sharing + Huffman coding
-//      (the Deep Compression pipeline), swept over sparsity and bit width;
+//      (the Deep Compression pipeline, its Huffman stage BlockCodec over
+//      the index streams), swept over sparsity and bit width;
 //   2. low-rank factorization, swept over rank;
 //   3. model distillation into small students.
 #include <iostream>
@@ -85,7 +86,9 @@ int main(int argc, char** argv) {
   TablePrinter dc_table({"sparsity", "bits", "pruned (CSR)", "quantized",
                          "+Huffman", "ratio", "accuracy"});
   for (const double sparsity : {0.5, 0.8, 0.9}) {
-    for (const int bits : {4, 6}) {
+    // 12 bits at 50% sparsity outgrows a one-byte index (codebook > 256),
+    // so the sweep also covers the two-plane index stream.
+    for (const int bits : {4, 6, 8, 12}) {
       Rng m_rng(1);
       auto model = factory(m_rng);
       Rng t_rng(2);

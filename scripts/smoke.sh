@@ -197,14 +197,14 @@ if [[ -z "${MDL_SANITIZE:-}" ]]; then
   echo "=== GemmDiff harness under ASan+UBSan ==="
   UBSAN_OPTIONS=halt_on_error=1 \
     "$ASAN_DIR/tests/mdl_tests" --gtest_filter='GemmDiff.*'
-  # The codec decode-hardening sweeps (every bit flip, every truncation,
-  # random tampering) under ASan+UBSan: the adversarial-input contract is
-  # "clean mdl::Error, zero out-of-bounds reads", which only sanitizers can
-  # actually certify.
+  # The codec and Deep Compression artifact decode-hardening sweeps (every
+  # bit flip, every truncation, random tampering) under ASan+UBSan: the
+  # adversarial-input contract is "clean mdl::Error, zero out-of-bounds
+  # reads", which only sanitizers can actually certify.
   echo "=== Codec hardening sweeps under ASan+UBSan ==="
   UBSAN_OPTIONS=halt_on_error=1 \
     "$ASAN_DIR/tests/mdl_tests" \
-    --gtest_filter='Codec*:ArchiveCompressed.*'
+    --gtest_filter='Codec*:ArchiveCompressed.*:DeepCompression*'
 
   TSAN_DIR="${BUILD_DIR}-tsan"
   echo "=== concurrency tests under TSan ($TSAN_DIR) ==="

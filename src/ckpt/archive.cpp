@@ -8,8 +8,8 @@
 #include <fstream>
 #include <sstream>
 
-#include "ckpt/crc32.hpp"
 #include "compress/codec.hpp"
+#include "core/crc32.hpp"
 
 namespace mdl::ckpt {
 namespace {

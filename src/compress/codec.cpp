@@ -4,35 +4,11 @@
 #include <array>
 #include <queue>
 
+#include "core/crc32.hpp"
 #include "core/error.hpp"
 
 namespace mdl::compress {
 namespace {
-
-// ---- CRC-32 (IEEE 802.3, same polynomial as mdl::ckpt's) -------------------
-// mdl_codec sits below mdl_ckpt in the link graph, so it carries its own
-// tiny table instead of borrowing ckpt/crc32.hpp.
-
-const std::array<std::uint32_t, 256>& crc_table() {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k)
-        c = (c & 1) ? 0xEDB88320U ^ (c >> 1) : c >> 1;
-      t[i] = c;
-    }
-    return t;
-  }();
-  return table;
-}
-
-std::uint32_t crc32_bytes(std::span<const std::uint8_t> data) {
-  const auto& t = crc_table();
-  std::uint32_t crc = 0xFFFFFFFFU;
-  for (const std::uint8_t b : data) crc = t[(crc ^ b) & 0xFF] ^ (crc >> 8);
-  return crc ^ 0xFFFFFFFFU;
-}
 
 // ---- Alphabet --------------------------------------------------------------
 // Literals 0..255 plus five zero-run symbols (the RLE half of the codec).
@@ -166,8 +142,7 @@ std::array<std::uint8_t, kAlphabet> limited_code_lengths(
 }
 
 /// Canonical codes: symbols sorted by (length, symbol), codes assigned in
-/// that order — identical discipline to huffman.cpp so the two coders stay
-/// cross-checkable.
+/// that order, so the table ships as code lengths alone.
 std::array<std::uint32_t, kAlphabet> canonical_codes(
     const std::array<std::uint8_t, kAlphabet>& lengths) {
   std::vector<std::uint32_t> order;
@@ -190,7 +165,7 @@ std::array<std::uint32_t, kAlphabet> canonical_codes(
   return codes;
 }
 
-// ---- Bit I/O (MSB-first, same discipline as huffman.cpp) -------------------
+// ---- Bit I/O (MSB-first) ---------------------------------------------------
 
 class BitWriter {
  public:
@@ -453,7 +428,7 @@ std::vector<std::uint8_t> BlockCodec::encode(
   append_u32(out, kMagic);
   out.push_back(kVersion);
   append_u64(out, raw.size());
-  append_u32(out, crc32_bytes(raw));
+  append_u32(out, crc32(raw.data(), raw.size()));
 
   for (std::size_t off = 0; off < raw.size(); off += config_.block_size) {
     const std::size_t raw_len =
@@ -519,7 +494,7 @@ std::vector<std::uint8_t> BlockCodec::decode(
   MDL_CHECK(pos == enc.size(),
             "trailing garbage after the encoded stream ("
                 << enc.size() - pos << " bytes)");
-  MDL_CHECK(crc32_bytes(out) == want_crc,
+  MDL_CHECK(crc32(out.data(), out.size()) == want_crc,
             "decoded payload fails its CRC — corrupt encoded stream");
   return out;
 }

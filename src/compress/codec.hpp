@@ -2,13 +2,13 @@
 // (the hzr family of codecs: Huffman with zero-run symbols, built for
 // "stochastic data with many values close to zero").
 //
-// This is the general-purpose sibling of huffman.hpp's index-stream coder:
-// it frames arbitrary byte payloads into independent blocks, escapes
-// incompressible blocks verbatim, and carries a CRC-32 of the raw bytes so
-// a decode either reproduces the input exactly or throws. It sits below
-// mdl::ckpt and mdl::federated in the dependency graph (library mdl_codec,
-// core-only), so checkpoint archives and federated wire payloads can both
-// ride on it.
+// It is the repo's one entropy coder: it frames arbitrary byte payloads
+// into independent blocks, escapes incompressible blocks verbatim, and
+// carries a CRC-32 of the raw bytes so a decode either reproduces the input
+// exactly or throws. It sits below mdl::ckpt and mdl::federated in the
+// dependency graph (library mdl_codec, core-only), so checkpoint archives,
+// federated wire payloads and the Deep Compression artifact's index streams
+// all ride on it.
 //
 // Stream layout (all integers little-endian):
 //

@@ -117,60 +117,4 @@ QuantizedTensor quantize_kmeans(const Tensor& t,
   return q;
 }
 
-void write_quantized(BinaryWriter& w, const QuantizedTensor& q) {
-  w.write_u32(static_cast<std::uint32_t>(q.shape.size()));
-  for (std::int64_t d : q.shape) w.write_i64(d);
-  w.write_u8(static_cast<std::uint8_t>(q.bits));
-  w.write_f32_vector(q.codebook);
-  // Pack indices at q.bits per entry.
-  std::vector<std::uint8_t> packed;
-  packed.reserve((q.indices.size() * static_cast<std::size_t>(q.bits) + 7) / 8);
-  std::uint64_t acc = 0;
-  int acc_bits = 0;
-  for (std::uint32_t idx : q.indices) {
-    acc |= static_cast<std::uint64_t>(idx) << acc_bits;
-    acc_bits += q.bits;
-    while (acc_bits >= 8) {
-      packed.push_back(static_cast<std::uint8_t>(acc & 0xFF));
-      acc >>= 8;
-      acc_bits -= 8;
-    }
-  }
-  if (acc_bits > 0) packed.push_back(static_cast<std::uint8_t>(acc & 0xFF));
-  w.write_u64(q.indices.size());
-  w.write_u64(packed.size());
-  w.write_bytes(packed.data(), packed.size());
-}
-
-QuantizedTensor read_quantized(BinaryReader& r) {
-  QuantizedTensor q;
-  const std::uint32_t nd = r.read_u32();
-  MDL_CHECK(nd <= 8, "implausible tensor rank");
-  q.shape.resize(nd);
-  for (auto& d : q.shape) d = r.read_i64();
-  q.bits = r.read_u8();
-  MDL_CHECK(q.bits >= 1 && q.bits <= 16, "implausible bit width " << q.bits);
-  q.codebook = r.read_f32_vector();
-  const std::uint64_t count = r.read_u64();
-  const std::uint64_t packed_size = r.read_u64();
-  std::vector<std::uint8_t> packed(packed_size);
-  r.read_bytes(packed.data(), packed.size());
-  q.indices.resize(count);
-  std::uint64_t acc = 0;
-  int acc_bits = 0;
-  std::size_t byte_pos = 0;
-  const std::uint64_t mask = (std::uint64_t{1} << q.bits) - 1;
-  for (auto& idx : q.indices) {
-    while (acc_bits < q.bits) {
-      MDL_CHECK(byte_pos < packed.size(), "truncated packed indices");
-      acc |= static_cast<std::uint64_t>(packed[byte_pos++]) << acc_bits;
-      acc_bits += 8;
-    }
-    idx = static_cast<std::uint32_t>(acc & mask);
-    acc >>= q.bits;
-    acc_bits -= q.bits;
-  }
-  return q;
-}
-
 }  // namespace mdl::compress

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/random.hpp"
-#include "core/serialize.hpp"
 #include "core/tensor.hpp"
 
 namespace mdl::compress {
@@ -38,9 +37,5 @@ struct QuantizeConfig {
 /// 1-D Lloyd k-means over the non-zero entries with linear (min..max)
 /// initialization, as in the Deep Compression paper.
 QuantizedTensor quantize_kmeans(const Tensor& t, const QuantizeConfig& config);
-
-/// Serialization (used by the Deep Compression artifact writer).
-void write_quantized(BinaryWriter& w, const QuantizedTensor& q);
-QuantizedTensor read_quantized(BinaryReader& r);
 
 }  // namespace mdl::compress

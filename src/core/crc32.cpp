@@ -1,8 +1,8 @@
-#include "ckpt/crc32.hpp"
+#include "core/crc32.hpp"
 
 #include <array>
 
-namespace mdl::ckpt {
+namespace mdl {
 namespace {
 
 constexpr std::uint32_t kPoly = 0xEDB88320U;
@@ -33,4 +33,4 @@ std::uint32_t crc32(const void* data, std::size_t n) {
   return crc32_update(0, data, n);
 }
 
-}  // namespace mdl::ckpt
+}  // namespace mdl

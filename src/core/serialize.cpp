@@ -32,10 +32,13 @@ void BinaryWriter::write_string(const std::string& s) {
   write_bytes(s.data(), s.size());
 }
 
+void BinaryWriter::write_shape(const std::vector<std::int64_t>& shape) {
+  write_u32(static_cast<std::uint32_t>(shape.size()));
+  for (const std::int64_t d : shape) write_i64(d);
+}
+
 void BinaryWriter::write_tensor(const Tensor& t) {
-  write_u32(static_cast<std::uint32_t>(t.ndim()));
-  for (std::size_t d = 0; d < t.ndim(); ++d)
-    write_i64(t.shape(d));
+  write_shape(t.shape());
   write_bytes(t.data(), static_cast<std::size_t>(t.size()) * sizeof(float));
 }
 
@@ -120,10 +123,10 @@ std::string BinaryReader::read_string() {
   return s;
 }
 
-Tensor BinaryReader::read_tensor() {
+std::uint64_t BinaryReader::read_shape(std::vector<std::int64_t>& shape) {
   const std::uint32_t nd = read_u32();
   MDL_CHECK(nd <= 8, "implausible tensor rank " << nd);
-  std::vector<std::int64_t> shape(nd);
+  shape.resize(nd);
   std::uint64_t elems = 1;
   for (auto& d : shape) {
     d = read_i64();
@@ -132,6 +135,12 @@ Tensor BinaryReader::read_tensor() {
               "implausible tensor element count");
     elems *= static_cast<std::uint64_t>(d);
   }
+  return elems;
+}
+
+Tensor BinaryReader::read_tensor() {
+  std::vector<std::int64_t> shape;
+  const std::uint64_t elems = read_shape(shape);
   check_remaining(elems * sizeof(float), "tensor data");
   Tensor t(shape);
   read_bytes(t.data(), static_cast<std::size_t>(t.size()) * sizeof(float));

@@ -34,6 +34,8 @@ class BinaryWriter {
   void write_f64(double v);
   void write_bytes(const void* data, std::size_t n);
   void write_string(const std::string& s);
+  /// [u32 rank][i64 dims] — the shape prefix of write_tensor.
+  void write_shape(const std::vector<std::int64_t>& shape);
   void write_tensor(const Tensor& t);
   void write_f32_vector(const std::vector<float>& v);
   void write_u32_vector(const std::vector<std::uint32_t>& v);
@@ -63,6 +65,10 @@ class BinaryReader {
   double read_f64();
   void read_bytes(void* data, std::size_t n);
   std::string read_string();
+  /// Reads a write_shape() prefix into `shape` and returns its element
+  /// count, throwing on a rank above 8, a negative dimension, or more than
+  /// 2^40 elements — before the caller allocates anything.
+  std::uint64_t read_shape(std::vector<std::int64_t>& shape);
   Tensor read_tensor();
   std::vector<float> read_f32_vector();
   std::vector<std::uint32_t> read_u32_vector();

@@ -1,7 +1,8 @@
 // Minimal JSON support for the observability subsystem: value encoding for
-// the exporters/RunLogger and a small recursive-descent parser used by the
-// round-trip tests (and by anything that wants to read the emitted JSONL
-// back). Numbers are stored as double; parse errors throw mdl::Error.
+// RunLogger and the flight-recorder export, and a small recursive-descent
+// parser used by the round-trip tests (and by anything that wants to read
+// the emitted JSONL back). Numbers are stored as double; parse errors throw
+// mdl::Error.
 #pragma once
 
 #include <cstdint>

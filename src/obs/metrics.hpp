@@ -106,7 +106,7 @@ class Histogram {
   std::atomic<double> sum_{0.0};
 };
 
-/// Point-in-time copy of one metric, used by the exporters.
+/// Point-in-time copy of one metric; callers read the fields directly.
 struct CounterSnapshot {
   std::string name;
   std::uint64_t value = 0;

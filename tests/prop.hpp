@@ -25,6 +25,8 @@
 #include <cstring>
 #include <initializer_list>
 #include <limits>
+#include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -120,6 +122,20 @@ inline bool float_close(float got, float want, std::int64_t max_ulp,
   if (ulp_distance(got, want) <= max_ulp) return true;
   return std::abs(static_cast<double>(got) - static_cast<double>(want)) <=
          abs_floor;
+}
+
+/// Empirical order-0 Shannon entropy of `symbols`, in bits per symbol: the
+/// reference the entropy-coder size guards bound their output against.
+inline double order0_entropy_bits(std::span<const std::uint32_t> symbols) {
+  std::map<std::uint32_t, std::uint64_t> freq;
+  for (const std::uint32_t s : symbols) ++freq[s];
+  const double n = static_cast<double>(symbols.size());
+  double h = 0.0;
+  for (const auto& kv : freq) {
+    const double p = static_cast<double>(kv.second) / n;
+    h -= p * std::log2(p);
+  }
+  return h;
 }
 
 }  // namespace mdl::prop

@@ -14,9 +14,9 @@
 
 #include "ckpt/archive.hpp"
 #include "ckpt/checkpoint.hpp"
-#include "ckpt/crc32.hpp"
 #include "ckpt/health.hpp"
 #include "compress/codec.hpp"
+#include "core/crc32.hpp"
 #include "core/random.hpp"
 #include "data/synthetic.hpp"
 #include "federated/fedavg.hpp"

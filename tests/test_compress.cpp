@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <optional>
 #include <sstream>
 
+#include "compress/codec.hpp"
 #include "compress/deep_compression.hpp"
 #include "compress/distill.hpp"
-#include "compress/huffman.hpp"
 #include "compress/low_rank.hpp"
 #include "compress/prune.hpp"
 #include "compress/quantize.hpp"
@@ -15,6 +17,7 @@
 #include "federated/common.hpp"
 #include "nn/activations.hpp"
 #include "nn/linear.hpp"
+#include "prop.hpp"
 
 namespace mdl::compress {
 namespace {
@@ -239,6 +242,7 @@ TEST(Quantize, CodebookSizeBounded) {
   EXPECT_LE(q.codebook.size(), 8U);  // 2^3 - 1 nonzero + zero slot
   EXPECT_EQ(q.codebook[0], 0.0F);
   for (const std::uint32_t idx : q.indices) EXPECT_LT(idx, q.codebook.size());
+  EXPECT_THROW(quantize_kmeans(t, {.bits = 0}), Error);
 }
 
 TEST(Quantize, AllZeroTensor) {
@@ -264,69 +268,67 @@ TEST(Quantize, StorageBytesAccountsBitWidth) {
   EXPECT_EQ(q.storage_bytes(), (1000 * 4 + 7) / 8 + q.codebook.size() * 4);
 }
 
-TEST(Quantize, SerializationRoundTrip) {
-  Rng rng(12);
-  Tensor t = Tensor::randn({9, 5}, rng);
-  prune_by_magnitude(t, 0.3);
-  QuantizeConfig cfg;
-  cfg.bits = 5;
-  const QuantizedTensor q = quantize_kmeans(t, cfg);
-  std::stringstream ss;
-  BinaryWriter w(ss);
-  write_quantized(w, q);
-  BinaryReader r(ss);
-  const QuantizedTensor back = read_quantized(r);
-  EXPECT_EQ(back.indices, q.indices);
-  EXPECT_EQ(back.codebook, q.codebook);
-  EXPECT_TRUE(allclose(back.dequantize(), q.dequantize(), 0.0F));
-  EXPECT_THROW(quantize_kmeans(t, {.bits = 0}), Error);
-}
+// ------------------------------------------------- Huffman (index stage)
+// Deep Compression's Huffman stage: encode_indices/decode_indices over
+// BlockCodec. Short streams fit one block, so the framing is one stream
+// header plus one block header ahead of the code table and bitstream.
 
-// --------------------------------------------------------------- Huffman
+constexpr std::size_t kOneBlockFraming =
+    BlockCodec::kStreamHeaderBytes + BlockCodec::kBlockHeaderBytes;
 
 TEST(Huffman, RoundTripRandomStreams) {
+  // Codebooks up to 256 entries code one byte per index; larger ones a
+  // low-byte plane and a high-byte plane.
   Rng rng(13);
-  for (const std::uint32_t alphabet : {2U, 5U, 17U, 64U}) {
+  for (const std::uint32_t alphabet :
+       {2U, 5U, 17U, 64U, 256U, 257U, 4000U, 65536U}) {
     std::vector<std::uint32_t> symbols(500);
     for (auto& s : symbols)
       s = static_cast<std::uint32_t>(rng.uniform_int(alphabet));
-    const HuffmanEncoded enc = huffman_encode(symbols, alphabet);
-    EXPECT_EQ(huffman_decode(enc), symbols) << "alphabet " << alphabet;
+    const auto enc = encode_indices(symbols, alphabet);
+    EXPECT_EQ(decode_indices(enc, symbols.size(), alphabet), symbols)
+        << "alphabet " << alphabet;
+    // The stream's length must match the element count and index width.
+    EXPECT_THROW(decode_indices(enc, symbols.size() + 1, alphabet), Error);
+    EXPECT_THROW(decode_indices(enc, symbols.size(),
+                                alphabet <= 256 ? 257 : 256),
+                 Error);
   }
 }
 
 TEST(Huffman, SingleSymbolStream) {
   const std::vector<std::uint32_t> symbols(100, 3);
-  const HuffmanEncoded enc = huffman_encode(symbols, 8);
-  EXPECT_EQ(huffman_decode(enc), symbols);
-  // 1 bit per symbol => ~13 bytes payload.
-  EXPECT_LE(enc.payload.size(), 14U);
+  const auto enc = encode_indices(symbols, 8);
+  EXPECT_EQ(decode_indices(enc, symbols.size(), 8), symbols);
+  // One 1-bit code => 13 bytes of bitstream, behind a 7-byte table
+  // (nibble-packed lengths for literals 0..3 and the five run symbols).
+  EXPECT_EQ(enc.size(), kOneBlockFraming + 7 + 13);
 }
 
 TEST(Huffman, EmptyStream) {
-  const std::vector<std::uint32_t> symbols;
-  const HuffmanEncoded enc = huffman_encode(symbols, 4);
-  EXPECT_TRUE(huffman_decode(enc).empty());
+  const auto enc = encode_indices({}, 4);
+  EXPECT_EQ(enc.size(), BlockCodec::kStreamHeaderBytes);
+  EXPECT_TRUE(decode_indices(enc, 0, 4).empty());
 }
 
 TEST(Huffman, SkewedStreamBeatsFixedWidth) {
-  // 90% zeros over a 16-symbol alphabet: Huffman should beat the 4-bit
-  // fixed-width encoding substantially.
+  // 90% zeros over a 16-symbol alphabet: the coded stream, framing
+  // included, should beat the 4-bit fixed-width encoding substantially.
   Rng rng(14);
   std::vector<std::uint32_t> symbols(4000);
   for (auto& s : symbols)
     s = rng.bernoulli(0.9)
             ? 0U
             : static_cast<std::uint32_t>(1 + rng.uniform_int(15));
-  const HuffmanEncoded enc = huffman_encode(symbols, 16);
+  const auto enc = encode_indices(symbols, 16);
   const double fixed_bits = 4.0 * static_cast<double>(symbols.size());
-  const double huff_bits = 8.0 * static_cast<double>(enc.payload.size());
-  EXPECT_LT(huff_bits, 0.6 * fixed_bits);
+  const double coded_bits = 8.0 * static_cast<double>(enc.size());
+  EXPECT_LT(coded_bits, 0.6 * fixed_bits);
   // And it can't beat entropy.
-  const double entropy_bits =
-      stream_entropy_bits(symbols, 16) * static_cast<double>(symbols.size());
-  EXPECT_GE(huff_bits + 8.0, entropy_bits);
-  EXPECT_EQ(huffman_decode(enc), symbols);
+  const double entropy_bits = prop::order0_entropy_bits(symbols) *
+                              static_cast<double>(symbols.size());
+  EXPECT_GE(coded_bits + 8.0, entropy_bits);
+  EXPECT_EQ(decode_indices(enc, symbols.size(), 16), symbols);
 }
 
 TEST(Huffman, NearEntropyOnUniform) {
@@ -334,49 +336,52 @@ TEST(Huffman, NearEntropyOnUniform) {
   std::vector<std::uint32_t> symbols(8000);
   for (auto& s : symbols)
     s = static_cast<std::uint32_t>(rng.uniform_int(8));
-  const HuffmanEncoded enc = huffman_encode(symbols, 8);
+  const auto enc = encode_indices(symbols, 8);
+  // Bitstream only: framing and the 9-byte table are fixed costs.
   const double bits_per_symbol =
-      8.0 * static_cast<double>(enc.payload.size()) /
+      8.0 * static_cast<double>(enc.size() - kOneBlockFraming - 9) /
       static_cast<double>(symbols.size());
   EXPECT_NEAR(bits_per_symbol, 3.0, 0.1);  // entropy = 3 bits
 }
 
 TEST(Huffman, AlphabetSizeOneRoundTrips) {
-  // Degenerate alphabet: only one possible symbol, so the stream carries no
-  // information beyond its length.
+  // Degenerate codebook: only one possible index, so the stream carries no
+  // information beyond its length — one zero-run token.
   const std::vector<std::uint32_t> symbols(50, 0);
-  const HuffmanEncoded enc = huffman_encode(symbols, 1);
-  EXPECT_EQ(huffman_decode(enc), symbols);
-  EXPECT_LE(enc.payload.size(), 7U);  // <= 1 bit/symbol
+  const auto enc = encode_indices(symbols, 1);
+  EXPECT_EQ(decode_indices(enc, symbols.size(), 1), symbols);
+  EXPECT_LE(enc.size(), kOneBlockFraming + 7);
 }
 
 TEST(Huffman, AllEqualFrequenciesGiveFixedWidthCode) {
   // A uniform 8-symbol stream has no skew to exploit: every code must be
-  // exactly log2(8) = 3 bits and the payload exactly 3 bits/symbol.
+  // exactly log2(8) = 3 bits, so the bitstream is exactly 3 bits/symbol
+  // behind a 9-byte table (eight literal nibbles + the run symbols').
   std::vector<std::uint32_t> symbols;
   for (int rep = 0; rep < 32; ++rep)
     for (std::uint32_t s = 0; s < 8; ++s) symbols.push_back(s);
-  const HuffmanEncoded enc = huffman_encode(symbols, 8);
-  for (std::uint32_t s = 0; s < 8; ++s) EXPECT_EQ(enc.code_lengths[s], 3);
-  EXPECT_EQ(enc.payload.size(), symbols.size() * 3 / 8);
-  EXPECT_EQ(huffman_decode(enc), symbols);
+  const auto enc = encode_indices(symbols, 8);
+  EXPECT_EQ(enc.size(), kOneBlockFraming + 9 + symbols.size() * 3 / 8);
+  EXPECT_EQ(decode_indices(enc, symbols.size(), 8), symbols);
 }
 
 TEST(Huffman, EmptyAlphabetThrows) {
-  const std::vector<std::uint32_t> symbols;
-  EXPECT_THROW(huffman_encode(symbols, 0), Error);
+  EXPECT_THROW(encode_indices({}, 0), Error);
+  EXPECT_THROW(encode_indices({}, 65537), Error);
+  EXPECT_THROW(decode_indices(encode_indices({}, 1), 0, 0), Error);
 }
 
 TEST(Huffman, SymbolOutsideAlphabetThrows) {
-  const std::vector<std::uint32_t> symbols{5};
-  EXPECT_THROW(huffman_encode(symbols, 4), Error);
+  EXPECT_THROW(encode_indices(std::vector<std::uint32_t>{5}, 4), Error);
+  EXPECT_THROW(encode_indices(std::vector<std::uint32_t>{256}, 256), Error);
 }
 
 TEST(Huffman, EntropyHelper) {
+  // The order-0 entropy the size guards above and in test_codec.cpp use.
   const std::vector<std::uint32_t> uniform{0, 1, 2, 3};
-  EXPECT_NEAR(stream_entropy_bits(uniform, 4), 2.0, 1e-9);
+  EXPECT_NEAR(prop::order0_entropy_bits(uniform), 2.0, 1e-9);
   const std::vector<std::uint32_t> constant{1, 1, 1};
-  EXPECT_NEAR(stream_entropy_bits(constant, 4), 0.0, 1e-9);
+  EXPECT_NEAR(prop::order0_entropy_bits(constant), 0.0, 1e-9);
 }
 
 // -------------------------------------------------------------- Low rank
@@ -586,6 +591,152 @@ TEST_F(CompressFixture, DistillationAlphaBlendsObjectives) {
   dc.epochs = 25;
   const double acc = distill(*model, *student, train_set, test_set, dc);
   EXPECT_GT(acc, 0.6);
+}
+
+// ------------------------------------------------ Deep Compression artifact
+// read_compressed parses untrusted bytes; these sweeps run under ASan+UBSan
+// in CI (the DeepCompression* filter in smoke.sh and ci.yml).
+
+std::string serialize(const CompressedModel& cm) {
+  std::ostringstream os;
+  BinaryWriter w(os);
+  write_compressed(w, cm);
+  return os.str();
+}
+
+/// read_compressed + restore_into; nullopt when either throws mdl::Error.
+std::optional<CompressedModel> load_into(const std::string& bytes,
+                                         nn::Module& model) {
+  std::istringstream is(bytes);
+  BinaryReader r(is);
+  try {
+    CompressedModel cm = read_compressed(r);
+    cm.restore_into(model);
+    return cm;
+  } catch (const Error&) {
+    return std::nullopt;
+  }
+}
+
+std::uint64_t element_count(const CompressedModel::Entry& e) {
+  std::uint64_t n = 1;
+  for (const std::int64_t d : e.shape) n *= static_cast<std::uint64_t>(d);
+  return n;
+}
+
+/// A pruned MLP(8-12-3) compressed at `bits`.
+CompressedModel small_artifact(int bits) {
+  Rng rng(40);
+  auto model = federated::mlp_factory(8, 12, 3)(rng);
+  prune_model(*model, 0.6);
+  return compress_model(*model, {.bits = bits});
+}
+
+TEST(DeepCompressionArtifact, EveryBitFlipAndTruncationThrowsOrRestores) {
+  const CompressedModel cm = small_artifact(4);
+  const std::string good = serialize(cm);
+  std::vector<std::vector<std::uint32_t>> want;
+  for (const auto& e : cm.entries)
+    want.push_back(
+        decode_indices(e.indices, element_count(e), e.codebook.size()));
+  Rng rng(41);
+  auto target = federated::mlp_factory(8, 12, 3)(rng);
+  ASSERT_TRUE(load_into(good, *target).has_value());
+
+  for (std::size_t bit = 0; bit < good.size() * 8; ++bit) {
+    std::string bad = good;
+    bad[bit / 8] = static_cast<char>(bad[bit / 8] ^ (1 << (bit % 8)));
+    const auto back = load_into(bad, *target);
+    if (!back) continue;
+    // Accepted flips land outside the index streams (a codebook value, the
+    // bits byte): BlockCodec's CRC turns a flip inside a stream into a
+    // throw, so every stream still decodes to the original indices.
+    ASSERT_EQ(back->entries.size(), want.size()) << "bit " << bit;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      const auto& e = back->entries[i];
+      EXPECT_EQ(decode_indices(e.indices, want[i].size(), e.codebook.size()),
+                want[i])
+          << "bit " << bit << ", entry " << i;
+    }
+  }
+  // Every field is read, so no proper prefix parses.
+  for (std::size_t len = 0; len < good.size(); ++len)
+    EXPECT_FALSE(load_into(good.substr(0, len), *target).has_value())
+        << "truncated to " << len << " bytes";
+}
+
+TEST(DeepCompressionArtifact, IndexOutsideCodebookThrowsOnRestore) {
+  // A well-formed index stream of the right length whose first index names
+  // a codebook slot that does not exist: the reader accepts it, restore
+  // refuses it.
+  CompressedModel cm = small_artifact(4);
+  CompressedModel::Entry& e = cm.entries[0];
+  ASSERT_LT(e.codebook.size(), 256U);
+  std::vector<std::uint8_t> planes(element_count(e), 0);
+  planes[0] = static_cast<std::uint8_t>(e.codebook.size());
+  e.indices = BlockCodec().encode(planes);
+
+  std::istringstream is(serialize(cm));
+  BinaryReader r(is);
+  const CompressedModel back = read_compressed(r);
+  Rng rng(42);
+  auto target = federated::mlp_factory(8, 12, 3)(rng);
+  EXPECT_THROW(back.restore_into(*target), Error);
+}
+
+TEST(DeepCompressionArtifact, SixteenBitTwoPlaneRoundTripIsBitIdentical) {
+  Rng rng(43);
+  const auto factory = federated::mlp_factory(16, 64, 4);
+  auto model = factory(rng);
+  prune_model(*model, 0.3);
+  const QuantizeConfig qc{.bits = 16};
+  const CompressedModel cm = compress_model(*model, qc);
+  ASSERT_GT(cm.entries[0].codebook.size(), 256U);  // two index planes
+
+  auto restored = factory(rng);
+  ASSERT_TRUE(load_into(serialize(cm), *restored).has_value());
+  const auto params = model->parameters();
+  const auto got = restored->parameters();
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    QuantizeConfig cfg = qc;
+    if (params[i]->value.ndim() < 2) cfg.bits = 8;  // as compress_model
+    const Tensor want = quantize_kmeans(params[i]->value, cfg).dequantize();
+    ASSERT_TRUE(want.same_shape(got[i]->value));
+    EXPECT_EQ(std::memcmp(want.data(), got[i]->value.data(),
+                          static_cast<std::size_t>(want.size()) *
+                              sizeof(float)),
+              0)
+        << "parameter " << i;
+  }
+}
+
+TEST(DeepCompressionArtifact, ReaderRejectsBadShapesLengthsAndVersions) {
+  // One hand-written entry; the reader must refuse before allocating.
+  const auto artifact = [](std::uint32_t version,
+                           const std::vector<std::int64_t>& shape,
+                           std::uint64_t stream_len) {
+    std::ostringstream os;
+    BinaryWriter w(os);
+    write_archive_header(w, version);
+    w.write_u32(1);
+    w.write_shape(shape);
+    w.write_u8(4);
+    w.write_f32_vector({0.0F});
+    w.write_u64(stream_len);
+    return os.str();
+  };
+  const auto read = [](const std::string& bytes) {
+    std::istringstream is(bytes);
+    BinaryReader r(is);
+    return read_compressed(r);
+  };
+  EXPECT_NO_THROW(read(artifact(3, {2, 3}, 0)));
+  EXPECT_THROW(read(artifact(2, {2, 3}, 0)), Error);   // pre-BlockCodec
+  EXPECT_THROW(read(artifact(3, {-1, 3}, 0)), Error);  // negative dimension
+  EXPECT_THROW(read(artifact(3, {0, -3}, 0)), Error);  // ... after a zero
+  EXPECT_THROW(read(artifact(3, {1LL << 32, 1LL << 32}, 0)),
+               Error);                                  // count overflows
+  EXPECT_THROW(read(artifact(3, {2, 3}, 100)), Error);  // past the input
 }
 
 }  // namespace

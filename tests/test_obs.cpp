@@ -9,7 +9,6 @@
 
 #include "core/error.hpp"
 #include "core/threadpool.hpp"
-#include "obs/export.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_logger.hpp"
@@ -212,56 +211,6 @@ TEST(Json, ParseRoundTripsEscapesAndTypes) {
   ASSERT_EQ(v.at("a").size(), 3U);
   EXPECT_DOUBLE_EQ(v.at("a").at(2).as_number(), 3.0);
   EXPECT_THROW(Json::parse("{broken"), Error);
-}
-
-TEST(Export, JsonlSnapshotRoundTrip) {
-  MetricsRegistry registry;
-  registry.counter("rt.count").add(7);
-  registry.gauge("rt.level").set(-0.25);
-  Histogram& h = registry.histogram("rt.lat_us", {1.0, 10.0, 100.0});
-  h.observe(5.0);
-  h.observe(50.0);
-  h.observe(5000.0);  // overflow
-
-  const std::string jsonl = snapshot_to_jsonl(registry.snapshot());
-  std::istringstream lines(jsonl);
-  std::string line;
-  int counters = 0, gauges = 0, histograms = 0;
-  while (std::getline(lines, line)) {
-    const Json v = Json::parse(line);
-    ASSERT_TRUE(v.is_object());
-    const std::string& kind = v.at("kind").as_string();
-    if (kind == "counter") {
-      ++counters;
-      EXPECT_EQ(v.at("name").as_string(), "rt.count");
-      EXPECT_DOUBLE_EQ(v.at("value").as_number(), 7.0);
-    } else if (kind == "gauge") {
-      ++gauges;
-      EXPECT_DOUBLE_EQ(v.at("value").as_number(), -0.25);
-    } else if (kind == "histogram") {
-      ++histograms;
-      EXPECT_DOUBLE_EQ(v.at("count").as_number(), 3.0);
-      ASSERT_EQ(v.at("buckets").size(), 4U);
-      EXPECT_TRUE(v.at("buckets").at(3).at("le").is_null());  // overflow
-      EXPECT_DOUBLE_EQ(v.at("buckets").at(3).at("count").as_number(), 1.0);
-    }
-  }
-  EXPECT_EQ(counters, 1);
-  EXPECT_EQ(gauges, 1);
-  EXPECT_EQ(histograms, 1);
-}
-
-TEST(Export, TableContainsEveryMetricName) {
-  MetricsRegistry registry;
-  registry.counter("tbl.count").add(1);
-  registry.gauge("tbl.level").set(1.0);
-  registry.histogram("tbl.lat_us").observe(2.0);
-  std::ostringstream os;
-  write_snapshot_table(registry.snapshot(), os);
-  const std::string text = os.str();
-  EXPECT_NE(text.find("tbl.count"), std::string::npos);
-  EXPECT_NE(text.find("tbl.level"), std::string::npos);
-  EXPECT_NE(text.find("tbl.lat_us"), std::string::npos);
 }
 
 TEST(RunLogger, RecordsRenderInInsertionOrderAndParseBack) {
