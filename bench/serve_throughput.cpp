@@ -91,7 +91,6 @@ Percentiles percentiles(std::vector<double> v) {
 serve::ServeConfig base_config(std::int64_t max_batch) {
   serve::ServeConfig cfg;
   cfg.max_batch_size = max_batch;
-  cfg.max_queue_delay_us = 1000;
   cfg.perturb.nullification_rate = 0.1;
   cfg.perturb.laplace_scale = 0.1;
   return cfg;

@@ -71,7 +71,6 @@ double run_serve_once(const split::SplitInference& model,
                       const std::vector<serve::InferenceRequest>& reqs) {
   serve::ServeConfig cfg;
   cfg.max_batch_size = 8;
-  cfg.max_queue_delay_us = 1000;
   cfg.perturb.nullification_rate = 0.1;
   cfg.perturb.laplace_scale = 0.1;
   serve::InferenceServer server(nullptr, &model, cfg);

@@ -57,8 +57,7 @@ int main() {
   const split::SplitInference split_net = make_split_model(rng);
 
   serve::ServeConfig cfg;
-  cfg.max_batch_size = 4;        // release a batch at 4 queued requests...
-  cfg.max_queue_delay_us = 2000; // ...or once the oldest waited 2 ms
+  cfg.max_batch_size = 4;  // a free executor takes up to 4 queued requests
   cfg.default_deadline_us = 50'000;
   cfg.perturb.nullification_rate = 0.2;
   cfg.perturb.laplace_scale = 0.3;
@@ -66,8 +65,8 @@ int main() {
 
   // Three client threads race 8 requests each into the shared queue. The
   // server is paused while they submit so the queue fills up and the
-  // batcher has something to batch (a live deployment would rely on
-  // arrival pressure instead).
+  // batcher has something to batch (a live deployment batches whatever
+  // arrives while the executor is busy with the previous batch).
   server.pause();
   std::vector<std::future<serve::InferenceResult>> futures(24);
   std::vector<std::thread> clients;

@@ -37,33 +37,6 @@ double NetworkModel::download_time_s(std::uint64_t bytes) const {
   return static_cast<double>(bytes) * 8.0 / (downlink_mbps * 1e6);
 }
 
-void BatchingModel::validate() const {
-  MDL_CHECK(max_batch_size > 0, "max_batch_size must be positive");
-  MDL_CHECK(max_queue_delay_s >= 0.0, "max_queue_delay_s must be >= 0");
-  MDL_CHECK(offered_load_rps >= 0.0, "offered_load_rps must be >= 0");
-  MDL_CHECK(per_batch_overhead_s >= 0.0, "per_batch_overhead_s must be >= 0");
-}
-
-double BatchingModel::expected_occupancy() const {
-  validate();
-  const double filled = 1.0 + offered_load_rps * max_queue_delay_s;
-  return std::min(static_cast<double>(max_batch_size), filled);
-}
-
-double BatchingModel::expected_queue_delay_s() const {
-  validate();
-  if (max_batch_size == 1) return 0.0;  // every batch releases immediately
-  // A lone request (no other arrivals) waits out the whole delay timer.
-  if (offered_load_rps <= 0.0) return max_queue_delay_s;
-  // Fill window: time for max_batch_size - 1 further arrivals, truncated
-  // by the delay knob. A request arrives uniformly inside the window, so
-  // its mean wait is half of it.
-  const double window =
-      std::min(max_queue_delay_s,
-               static_cast<double>(max_batch_size - 1) / offered_load_rps);
-  return window / 2.0;
-}
-
 InferencePlanner::InferencePlanner(DeviceProfile device, DeviceProfile server,
                                    NetworkModel network)
     : device_(std::move(device)),
@@ -128,31 +101,6 @@ CostEstimate InferencePlanner::split(std::int64_t local_flops,
   return c;
 }
 
-CostEstimate InferencePlanner::on_cloud(std::uint64_t input_bytes,
-                                        std::int64_t flops,
-                                        std::uint64_t output_bytes,
-                                        const BatchingModel& batching) const {
-  CostEstimate c = on_cloud(input_bytes, flops, output_bytes);
-  const double extra =
-      batching.expected_queue_delay_s() + batching.amortized_overhead_s();
-  c.latency_s += extra;
-  c.device_energy_j += extra * device_.idle_watts;  // phone idles while queued
-  return c;
-}
-
-CostEstimate InferencePlanner::split(std::int64_t local_flops,
-                                     std::uint64_t rep_bytes,
-                                     std::int64_t cloud_flops,
-                                     std::uint64_t output_bytes,
-                                     const BatchingModel& batching) const {
-  CostEstimate c = split(local_flops, rep_bytes, cloud_flops, output_bytes);
-  const double extra =
-      batching.expected_queue_delay_s() + batching.amortized_overhead_s();
-  c.latency_s += extra;
-  c.device_energy_j += extra * device_.idle_watts;
-  return c;
-}
-
 void RetryPolicy::validate() const {
   MDL_CHECK(max_attempts >= 1, "max_attempts must be >= 1");
   MDL_CHECK(timeout_s > 0.0, "timeout_s must be positive");
@@ -188,7 +136,7 @@ double RetryPolicy::backoff_sum_s(std::int64_t k) const {
 DegradedSplitEstimate InferencePlanner::split_degraded(
     std::int64_t local_flops, std::uint64_t rep_bytes,
     std::int64_t cloud_flops, std::uint64_t output_bytes,
-    const BatchingModel& batching, const RetryPolicy& retry, double fail_prob,
+    const RetryPolicy& retry, double fail_prob,
     std::int64_t fallback_flops) const {
   MDL_OBS_SPAN("mobile.plan_split_degraded");
   retry.validate();
@@ -199,7 +147,7 @@ DegradedSplitEstimate InferencePlanner::split_degraded(
   // exhausts its attempts and answers on-device. The local representation
   // is computed exactly once either way.
   const CostEstimate success =
-      split(local_flops, rep_bytes, cloud_flops, output_bytes, batching);
+      split(local_flops, rep_bytes, cloud_flops, output_bytes);
   const CostEstimate local = on_device(local_flops);
   const CostEstimate degraded = on_device(fallback_flops);
 

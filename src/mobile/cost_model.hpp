@@ -47,36 +47,6 @@ struct NetworkModel {
   double download_time_s(std::uint64_t bytes) const;
 };
 
-/// Server-side dynamic batching (the mdl::serve policy) seen from one
-/// request's perspective: a batch is released at max_batch_size or after
-/// max_queue_delay_s, so a request pays extra queueing latency but shares
-/// the per-batch dispatch overhead with its batch-mates.
-struct BatchingModel {
-  std::int64_t max_batch_size = 8;
-  double max_queue_delay_s = 0.002;
-  /// Aggregate arrival rate at the server (all clients), requests/second.
-  double offered_load_rps = 100.0;
-  /// Fixed cost per released batch (stacking, dispatch, kernel launch).
-  double per_batch_overhead_s = 2e-4;
-
-  /// Throws mdl::Error if any knob is out of range.
-  void validate() const;
-
-  /// Mean requests per released batch: 1 + arrivals during the fill
-  /// window, capped at max_batch_size. Low load degenerates to 1.
-  double expected_occupancy() const;
-
-  /// Mean time a request waits for its batch to form: half the fill
-  /// window, where the window is the time to gather max_batch_size
-  /// arrivals or max_queue_delay_s, whichever is shorter.
-  double expected_queue_delay_s() const;
-
-  /// Per-request share of the per-batch overhead.
-  double amortized_overhead_s() const {
-    return per_batch_overhead_s / expected_occupancy();
-  }
-};
-
 /// Cost of executing one inference under a given placement.
 struct CostEstimate {
   double latency_s = 0.0;
@@ -137,18 +107,6 @@ class InferencePlanner {
                      std::int64_t cloud_flops,
                      std::uint64_t output_bytes) const;
 
-  /// Cloud placement behind a batched server: adds the expected queue
-  /// delay and the amortized per-batch overhead (phone idles while the
-  /// server batches).
-  CostEstimate on_cloud(std::uint64_t input_bytes, std::int64_t flops,
-                        std::uint64_t output_bytes,
-                        const BatchingModel& batching) const;
-
-  /// Split placement behind a batched server (the mdl::serve kSplit path).
-  CostEstimate split(std::int64_t local_flops, std::uint64_t rep_bytes,
-                     std::int64_t cloud_flops, std::uint64_t output_bytes,
-                     const BatchingModel& batching) const;
-
   /// The fault-tolerant split path end to end: each cloud attempt fails
   /// i.i.d. with `fail_prob`; failed attempts pay the timeout (plus the
   /// wasted upload energy/bytes) and back off per `retry`; a request whose
@@ -158,8 +116,8 @@ class InferencePlanner {
   DegradedSplitEstimate split_degraded(
       std::int64_t local_flops, std::uint64_t rep_bytes,
       std::int64_t cloud_flops, std::uint64_t output_bytes,
-      const BatchingModel& batching, const RetryPolicy& retry,
-      double fail_prob, std::int64_t fallback_flops) const;
+      const RetryPolicy& retry, double fail_prob,
+      std::int64_t fallback_flops) const;
 
   const DeviceProfile& device() const { return device_; }
   const DeviceProfile& server() const { return server_; }

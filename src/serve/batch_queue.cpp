@@ -1,5 +1,7 @@
 #include "serve/batch_queue.hpp"
 
+#include <algorithm>
+
 #include "core/error.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
@@ -20,8 +22,6 @@ double us_between(std::chrono::steady_clock::time_point from,
 
 BatchQueue::BatchQueue(BatchQueueConfig config) : config_(config) {
   MDL_CHECK(config_.max_batch_size > 0, "max_batch_size must be positive");
-  MDL_CHECK(config_.max_queue_delay_us >= 0,
-            "max_queue_delay_us must be >= 0");
   MDL_CHECK(config_.max_queue_depth >= 0, "max_queue_depth must be >= 0");
   MDL_CHECK(config_.kind_quota[0] >= 0 && config_.kind_quota[1] >= 0,
             "kind quotas must be >= 0");
@@ -77,48 +77,26 @@ void BatchQueue::shed_expired_locked(
 std::vector<PendingRequest> BatchQueue::pop_batch() {
   std::unique_lock lock(mu_);
   for (;;) {
-    const auto now = std::chrono::steady_clock::now();
-    shed_expired_locked(now);
-
-    if (paused_ && !shutdown_) {
-      cv_.wait(lock);
-      continue;
-    }
-    if (queue_.empty()) {
-      if (shutdown_) return {};
-      cv_.wait(lock);
-      continue;
-    }
-
-    // Longest same-kind FIFO prefix, capped at max_batch_size.
-    const auto cap = static_cast<std::size_t>(config_.max_batch_size);
-    std::size_t prefix = 1;
-    while (prefix < queue_.size() && prefix < cap &&
-           queue_[prefix].request.kind == queue_.front().request.kind)
-      ++prefix;
-
-    const auto release =
-        queue_.front().enqueue_time +
-        std::chrono::microseconds(config_.max_queue_delay_us);
-    if (prefix >= cap || shutdown_ || now >= release) {
-      std::vector<PendingRequest> batch;
-      batch.reserve(prefix);
-      for (std::size_t i = 0; i < prefix; ++i) {
-        --kind_depth_[static_cast<std::size_t>(queue_.front().request.kind)];
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-      MDL_OBS_GAUGE_SET("serve.queue_depth",
-                        static_cast<double>(queue_.size()));
-      return batch;
-    }
-
-    // Wake at batch release, or earlier if a queued deadline lapses first.
-    auto wake = release;
-    for (const PendingRequest& p : queue_)
-      if (p.deadline < wake) wake = p.deadline;
-    cv_.wait_until(lock, wake);
+    shed_expired_locked(std::chrono::steady_clock::now());
+    if (queue_.empty() && shutdown_) return {};
+    if (!queue_.empty() && (!paused_ || shutdown_)) break;
+    cv_.wait(lock);
   }
+
+  // Longest same-kind FIFO prefix, capped at max_batch_size.
+  const auto cap = static_cast<std::size_t>(config_.max_batch_size);
+  const RequestKind kind = queue_.front().request.kind;
+  std::vector<PendingRequest> batch;
+  batch.reserve(std::min(cap, queue_.size()));
+  while (!queue_.empty() && batch.size() < cap &&
+         queue_.front().request.kind == kind) {
+    batch.push_back(std::move(queue_.front()));
+    queue_.pop_front();
+  }
+  kind_depth_[static_cast<std::size_t>(kind)] -=
+      static_cast<std::int64_t>(batch.size());
+  MDL_OBS_GAUGE_SET("serve.queue_depth", static_cast<double>(queue_.size()));
+  return batch;
 }
 
 void BatchQueue::shutdown() {

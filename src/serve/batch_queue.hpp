@@ -1,14 +1,15 @@
 // Dynamic-batching queue for the inference server.
 //
 // Producers push requests from any thread; the single executor thread pops
-// *batches*. A batch is the longest same-kind FIFO prefix of the queue,
-// released as soon as either
-//   - it reaches max_batch_size, or
-//   - the oldest queued request has waited max_queue_delay_us
-// (the classic size-or-deadline dynamic batching policy). Keeping batches
-// as strict FIFO prefixes preserves arrival order and makes batch
-// composition a pure function of the arrival sequence — which is what lets
-// the tests pin batched-vs-sequential bit-identity deterministically.
+// *batches*. Batching is work-conserving: whenever the executor asks for
+// work, it gets the longest same-kind FIFO prefix queued at that moment,
+// capped at max_batch_size. A lone request on an idle server runs at once,
+// and batches grow only from what arrived while the previous batch ran, so
+// no request ever waits for batch-mates while the executor sits idle.
+// Keeping batches as strict FIFO prefixes preserves arrival order and makes
+// batch composition a pure function of the queue contents at pop time —
+// which, with pause()/resume() staging, lets the tests pin
+// batched-vs-sequential bit-identity deterministically.
 //
 // Deadline shedding happens at pop time: any queued request whose absolute
 // deadline has lapsed is completed as kShedDeadline without executing —
@@ -48,8 +49,8 @@ struct PendingRequest {
 };
 
 struct BatchQueueConfig {
+  /// Cap on the requests in one batch.
   std::int64_t max_batch_size = 8;
-  std::int64_t max_queue_delay_us = 2000;
   /// Queued requests (all kinds) beyond which pushes are refused as
   /// overload. 0 = unbounded (the pre-admission-control behavior).
   std::int64_t max_queue_depth = 0;
@@ -75,11 +76,12 @@ class BatchQueue {
   /// rejection status.
   PushOutcome push(PendingRequest&& p);
 
-  /// Blocks until a batch is ready (see policy above) and returns it in
-  /// FIFO order. Expired requests are shed (their promises completed as
-  /// kShedDeadline) before batch formation. After shutdown() the remaining
-  /// queue keeps draining in batches; an empty return means fully drained
-  /// and shut down — the executor should exit.
+  /// Blocks until a request is queued and batch formation is not paused,
+  /// then returns the batch described above in FIFO order. Expired
+  /// requests are shed (their promises completed as kShedDeadline) before
+  /// batch formation. After shutdown() the remaining queue keeps draining
+  /// in batches; an empty return means fully drained and shut down — the
+  /// executor should exit.
   std::vector<PendingRequest> pop_batch();
 
   /// Stops accepting pushes; pop_batch() drains what is queued.

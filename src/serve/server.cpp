@@ -66,7 +66,6 @@ InferenceServer::InferenceServer(const apps::MultiViewModel* multiview,
       split_(split),
       config_(config),
       queue_({config.max_batch_size,
-              config.max_queue_delay_us,
               config.max_queue_depth,
               {config.kind_quota[0], config.kind_quota[1]}}),
       breaker_(config.breaker),
@@ -75,12 +74,7 @@ InferenceServer::InferenceServer(const apps::MultiViewModel* multiview,
             "server needs at least one model");
   MDL_CHECK(config_.default_deadline_us >= 0,
             "default_deadline_us must be >= 0");
-  MDL_CHECK(config_.sampler_period_us >= 0,
-            "sampler_period_us must be >= 0");
   executor_ = std::thread([this] { run(); });
-  if (config_.sampler_period_us > 0)
-    sampler_ =
-        std::make_unique<obs::CounterSampler>(config_.sampler_period_us);
 }
 
 InferenceServer::~InferenceServer() { stop(); }
@@ -88,7 +82,7 @@ InferenceServer::~InferenceServer() { stop(); }
 void InferenceServer::stop() {
   queue_.shutdown();
   if (executor_.joinable()) executor_.join();
-  if (sampler_) sampler_->stop();
+  sampler_.stop();
 }
 
 void InferenceServer::validate(const InferenceRequest& request) const {

@@ -29,7 +29,6 @@
 
 #include <atomic>
 #include <future>
-#include <memory>
 #include <thread>
 
 #include "apps/multiview_model.hpp"
@@ -43,10 +42,9 @@
 namespace mdl::serve {
 
 struct ServeConfig {
-  /// Batch released when this many same-kind requests are queued...
+  /// Cap on the requests in one batch. The executor takes whatever
+  /// same-kind FIFO prefix is queued when it is free (see BatchQueue).
   std::int64_t max_batch_size = 8;
-  /// ...or when the oldest queued request has waited this long.
-  std::int64_t max_queue_delay_us = 2000;
   /// Deadline applied to requests that don't set one; 0 = no deadline.
   std::int64_t default_deadline_us = 0;
   /// Admission control: queued requests beyond this are rejected as
@@ -55,10 +53,6 @@ struct ServeConfig {
   /// Per-kind queue quota, indexed by RequestKind (kMultiView, kSplit);
   /// 0 = no quota for that kind.
   std::int64_t kind_quota[2] = {0, 0};
-  /// Period of the flight-recorder counter sampler the server runs while
-  /// alive (queue depth, inflight, batch occupancy show up as Chrome "C"
-  /// counter tracks). 0 disables the sampler thread.
-  std::int64_t sampler_period_us = 1000;
   /// Server-side perturbation for kSplit requests (Fig. 3 privacy path).
   split::PerturbConfig perturb;
   /// Circuit breaker guarding the executor (disabled by default).
@@ -127,9 +121,10 @@ class InferenceServer {
   CircuitBreaker breaker_;
   FaultInjector injector_;
   std::thread executor_;
-  /// Null when sampler_period_us == 0. Declared after queue_/executor_ so
-  /// it stops first on destruction.
-  std::unique_ptr<obs::CounterSampler> sampler_;
+  /// Sweeps every gauge (queue depth, inflight, batch occupancy, ...) into
+  /// the flight recorder as counter tracks, once per millisecond.
+  /// Declared after queue_/executor_ so it stops first on destruction.
+  obs::CounterSampler sampler_;
 };
 
 }  // namespace mdl::serve

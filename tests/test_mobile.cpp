@@ -82,81 +82,6 @@ TEST(CostModel, ProfilesSane) {
                Error);
 }
 
-TEST(BatchingModel, OccupancyTracksLoad) {
-  BatchingModel b;
-  b.max_batch_size = 8;
-  b.max_queue_delay_s = 0.01;
-
-  b.offered_load_rps = 0.0;  // idle server: every batch is a singleton
-  EXPECT_NEAR(b.expected_occupancy(), 1.0, 1e-12);
-
-  b.offered_load_rps = 300.0;  // 3 arrivals per window -> partial batches
-  EXPECT_NEAR(b.expected_occupancy(), 4.0, 1e-12);
-
-  b.offered_load_rps = 1e6;  // saturated: capped at max_batch_size
-  EXPECT_NEAR(b.expected_occupancy(), 8.0, 1e-12);
-}
-
-TEST(BatchingModel, QueueDelayRegimes) {
-  BatchingModel b;
-  b.max_batch_size = 8;
-  b.max_queue_delay_s = 0.01;
-
-  // Lone request waits out the whole delay timer.
-  b.offered_load_rps = 0.0;
-  EXPECT_NEAR(b.expected_queue_delay_s(), 0.01, 1e-12);
-
-  // Saturated: the batch fills long before the timer; mean wait is half
-  // the fill window (7 arrivals at 7000 rps = 1 ms -> 0.5 ms).
-  b.offered_load_rps = 7000.0;
-  EXPECT_NEAR(b.expected_queue_delay_s(), 0.0005, 1e-12);
-
-  // Batch size 1 never queues.
-  b.max_batch_size = 1;
-  EXPECT_NEAR(b.expected_queue_delay_s(), 0.0, 1e-12);
-}
-
-TEST(BatchingModel, AmortizationWinsAtHighLoad) {
-  BatchingModel idle;
-  idle.offered_load_rps = 0.0;
-  BatchingModel busy = idle;
-  busy.offered_load_rps = 1e6;
-  // A full batch splits the per-batch overhead max_batch_size ways.
-  EXPECT_NEAR(busy.amortized_overhead_s(),
-              idle.amortized_overhead_s() / 8.0, 1e-12);
-
-  BatchingModel bad;
-  bad.max_batch_size = 0;
-  EXPECT_THROW(bad.validate(), Error);
-}
-
-TEST(CostModel, BatchedCloudAddsQueueingCosts) {
-  const auto p = planner();
-  const std::uint64_t input_bytes = 10'000;
-  const std::int64_t flops = 1'000'000'000;
-
-  BatchingModel b;
-  b.max_queue_delay_s = 0.01;
-  b.offered_load_rps = 0.0;  // worst case: full timer wait, no sharing
-  const CostEstimate plain = p.on_cloud(input_bytes, flops, 100);
-  const CostEstimate batched = p.on_cloud(input_bytes, flops, 100, b);
-  EXPECT_NEAR(batched.latency_s - plain.latency_s,
-              b.expected_queue_delay_s() + b.amortized_overhead_s(), 1e-12);
-  EXPECT_GT(batched.device_energy_j, plain.device_energy_j);
-  EXPECT_EQ(batched.bytes_up, plain.bytes_up);
-
-  // Saturated load pays less extra latency than an idle server (the full
-  // timer wait shrinks to half the fill window, overhead is split 8 ways).
-  BatchingModel sat = b;
-  sat.offered_load_rps = 1e6;
-  EXPECT_LT(p.on_cloud(input_bytes, flops, 100, sat).latency_s,
-            batched.latency_s);
-
-  const CostEstimate split_batched =
-      p.split(10'000'000, 128, flops, 100, sat);
-  EXPECT_GT(split_batched.latency_s, p.split(10'000'000, 128, flops, 100).latency_s);
-}
-
 TEST(RetryPolicyModel, AttemptAndFallbackProbabilities) {
   RetryPolicy r;
   r.max_attempts = 3;
@@ -186,16 +111,14 @@ TEST(RetryPolicyModel, DegradedSplitRegimes) {
   const std::uint64_t rep_bytes = 128;
   const std::int64_t cloud_flops = 1'000'000'000;
   const std::int64_t fallback_flops = 50'000'000;
-  const BatchingModel b;
   RetryPolicy r;
   r.max_attempts = 3;
   r.timeout_s = 0.02;
 
-  // fail_prob = 0 degenerates to the plain batched split estimate.
-  const CostEstimate plain =
-      p.split(local_flops, rep_bytes, cloud_flops, 100, b);
+  // fail_prob = 0 degenerates to the plain split estimate.
+  const CostEstimate plain = p.split(local_flops, rep_bytes, cloud_flops, 100);
   const DegradedSplitEstimate healthy = p.split_degraded(
-      local_flops, rep_bytes, cloud_flops, 100, b, r, 0.0, fallback_flops);
+      local_flops, rep_bytes, cloud_flops, 100, r, 0.0, fallback_flops);
   EXPECT_NEAR(healthy.expected.latency_s, plain.latency_s, 1e-12);
   EXPECT_NEAR(healthy.expected.device_energy_j, plain.device_energy_j, 1e-12);
   EXPECT_DOUBLE_EQ(healthy.fallback_fraction, 0.0);
@@ -203,7 +126,7 @@ TEST(RetryPolicyModel, DegradedSplitRegimes) {
 
   // fail_prob = 1: every request burns all attempts and answers on-device.
   const DegradedSplitEstimate dead = p.split_degraded(
-      local_flops, rep_bytes, cloud_flops, 100, b, r, 1.0, fallback_flops);
+      local_flops, rep_bytes, cloud_flops, 100, r, 1.0, fallback_flops);
   EXPECT_DOUBLE_EQ(dead.fallback_fraction, 1.0);
   EXPECT_DOUBLE_EQ(dead.expected_attempts, 3.0);
   EXPECT_EQ(dead.expected.bytes_down, 0u);  // the cloud never answered
@@ -218,7 +141,7 @@ TEST(RetryPolicyModel, DegradedSplitRegimes) {
   double prev = healthy.expected.latency_s;
   for (const double f : {0.1, 0.3, 0.6, 0.9}) {
     const double cur =
-        p.split_degraded(local_flops, rep_bytes, cloud_flops, 100, b, r, f,
+        p.split_degraded(local_flops, rep_bytes, cloud_flops, 100, r, f,
                          fallback_flops)
             .expected.latency_s;
     EXPECT_GT(cur, prev) << "fail_prob " << f;

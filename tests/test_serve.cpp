@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 
@@ -114,7 +115,6 @@ TEST(ServeBitIdentity, BatchedMatchesSequentialAcrossBatchAndThreads) {
       set_shared_pool_threads(threads);
       ServeConfig cfg;
       cfg.max_batch_size = batch;
-      cfg.max_queue_delay_us = 500;
       InferenceServer server(&model, nullptr, cfg);
       const auto results = run_staged(server, reqs);
       for (std::size_t i = 0; i < results.size(); ++i) {
@@ -156,7 +156,6 @@ MDL_PROP_TEST(ServeProp, RandomShapesStayBatchInvariant) {
   set_shared_pool_threads(1);
   ServeConfig serve_cfg;
   serve_cfg.max_batch_size = prop::gen_int(rng, 1, 17);
-  serve_cfg.max_queue_delay_us = 500;
   std::vector<Tensor> expected;
   {
     InferenceServer ref_server(&model, nullptr, serve_cfg);
@@ -183,7 +182,6 @@ TEST(ServeQueue, StagedRequestsFormExactBatches) {
   const apps::MultiViewModel model = make_multiview(rng);
   ServeConfig cfg;
   cfg.max_batch_size = 3;
-  cfg.max_queue_delay_us = 500;
   InferenceServer server(&model, nullptr, cfg);
 
   std::vector<InferenceRequest> reqs;
@@ -195,12 +193,11 @@ TEST(ServeQueue, StagedRequestsFormExactBatches) {
   }
 }
 
-TEST(ServeQueue, PartialBatchFlushesAfterDelay) {
+TEST(ServeQueue, LeftoverRequestRunsWhenExecutorIsIdle) {
   Rng rng(12);
   const apps::MultiViewModel model = make_multiview(rng);
   ServeConfig cfg;
   cfg.max_batch_size = 3;
-  cfg.max_queue_delay_us = 500;
   InferenceServer server(&model, nullptr, cfg);
 
   std::vector<InferenceRequest> reqs;
@@ -209,9 +206,56 @@ TEST(ServeQueue, PartialBatchFlushesAfterDelay) {
   EXPECT_EQ(results[0].batch_size, 3);
   EXPECT_EQ(results[1].batch_size, 3);
   EXPECT_EQ(results[2].batch_size, 3);
-  // The leftover request rides alone once the delay timer fires.
+  // The leftover request rides alone as soon as the executor is free.
   EXPECT_EQ(results[3].batch_size, 1);
-  EXPECT_GE(results[3].queue_wait_us, 500.0);
+}
+
+TEST(ServeQueue, IdleExecutorTakesALoneRequestAtOnce) {
+  Rng rng(24);
+  const apps::MultiViewModel model = make_multiview(rng);
+  InferenceServer server(&model, nullptr, ServeConfig{});
+
+  // One request at a time on a default-config server: nothing else is
+  // queued, so each runs alone without waiting for batch-mates. The
+  // minimum over a few requests keeps a descheduled executor from failing
+  // the test on its own.
+  double min_wait_us = 1e18;
+  for (int i = 0; i < 5; ++i) {
+    const InferenceResult r =
+        server.submit(multiview_request(model, rng)).get();
+    ASSERT_EQ(r.status, RequestStatus::kOk);
+    EXPECT_EQ(r.batch_size, 1);
+    min_wait_us = std::min(min_wait_us, r.queue_wait_us);
+  }
+  EXPECT_LT(min_wait_us, 1000.0);
+}
+
+TEST(ServeQueue, BatchGrowsWhileExecutorIsBusy) {
+  Rng rng(25);
+  const apps::MultiViewModel model = make_multiview(rng);
+  ServeConfig cfg;
+  cfg.fault.batch_stall_prob = 1.0;  // every batch holds the executor...
+  cfg.fault.batch_stall_us = 50'000;  // ...for 50 ms
+  InferenceServer server(&model, nullptr, cfg);
+
+  auto first = server.submit(multiview_request(model, rng));
+  // Once the first request has left the queue, its batch is stalling on
+  // the executor; everything submitted now queues up behind it.
+  while (server.queue_depth() != 0) std::this_thread::yield();
+
+  std::vector<InferenceRequest> reqs;
+  std::vector<std::future<InferenceResult>> futures;
+  for (int i = 0; i < 5; ++i) {
+    reqs.push_back(multiview_request(model, rng));
+    futures.push_back(server.submit(reqs.back()));
+  }
+  EXPECT_EQ(first.get().batch_size, 1);
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    const InferenceResult r = futures[i].get();
+    ASSERT_EQ(r.status, RequestStatus::kOk);
+    EXPECT_EQ(r.batch_size, 5) << "request " << i;
+    EXPECT_TRUE(r.logits == server.score(reqs[i])) << "request " << i;
+  }
 }
 
 TEST(ServeQueue, SingleRequestFlushesFromEmptyQueue) {
@@ -219,7 +263,6 @@ TEST(ServeQueue, SingleRequestFlushesFromEmptyQueue) {
   const apps::MultiViewModel model = make_multiview(rng);
   ServeConfig cfg;
   cfg.max_batch_size = 8;
-  cfg.max_queue_delay_us = 1000;
   InferenceServer server(&model, nullptr, cfg);
 
   auto future = server.submit(multiview_request(model, rng));
@@ -236,7 +279,6 @@ TEST(ServeQueue, DeadlineShedsUnexecutedRequests) {
   const apps::MultiViewModel model = make_multiview(rng);
   ServeConfig cfg;
   cfg.max_batch_size = 8;
-  cfg.max_queue_delay_us = 200;
   cfg.default_deadline_us = 500;  // resolved when a request leaves it at 0
   InferenceServer server(&model, nullptr, cfg);
 
@@ -292,7 +334,6 @@ TEST(ServeQueue, MixedKindsBatchAsHomogeneousFifoRuns) {
   const split::SplitInference split_model = make_split(rng);
   ServeConfig cfg;
   cfg.max_batch_size = 8;
-  cfg.max_queue_delay_us = 500;
   cfg.perturb.laplace_scale = 0.0;
   cfg.perturb.nullification_rate = 0.0;
   InferenceServer server(&model, &split_model, cfg);
@@ -338,7 +379,6 @@ TEST(ServeSplit, BatchedPerturbationMatchesSequential) {
   const split::SplitInference split_model = make_split(rng);
   ServeConfig cfg;
   cfg.max_batch_size = 4;
-  cfg.max_queue_delay_us = 500;
   cfg.perturb.nullification_rate = 0.3;
   cfg.perturb.laplace_scale = 0.5;
 
@@ -388,7 +428,6 @@ TEST(ServeStress, ProducersDeadlinesAndShutdownRace) {
   const split::SplitInference split_model = make_split(rng);
   ServeConfig cfg;
   cfg.max_batch_size = 4;
-  cfg.max_queue_delay_us = 200;
   InferenceServer server(&model, &split_model, cfg);
 
   constexpr int kProducers = 4;
