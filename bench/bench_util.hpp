@@ -133,9 +133,8 @@ inline obs::RunRecord record(const std::string& event) {
 /// Writes one JSONL line (no-op without a sink).
 inline void log(const obs::RunRecord& r) { detail::logger().log(r); }
 
-/// Stamps the process's current/peak resident-set size onto a record —
-/// how the memory-scaling benches (fedavg_population) measure rather than
-/// assert their O(cohort) claims. The fields are machine-dependent, so the
+/// Stamps the process's current/peak resident-set size onto a record
+/// (fig2's per-trial memory). The fields are machine-dependent, so the
 /// golden comparator ignores them (tests/test_golden_trace.cpp).
 inline obs::RunRecord& add_rss(obs::RunRecord& r) {
   return r

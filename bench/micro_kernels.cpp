@@ -1,7 +1,8 @@
 // E12 — supporting microbenchmarks (google-benchmark): the numeric kernels
 // the experiments stand on. Useful for spotting performance regressions in
 // matmul, the GRU step, sparse matvec, quantization, and tree-ensemble
-// prediction. The entropy coder has its own bench (codec_throughput).
+// prediction. The entropy coder's ratios are reported by perfbench's
+// fedavg_round (compress.wire_ratio, ckpt.compress_ratio).
 #include <benchmark/benchmark.h>
 
 #include <string_view>

@@ -40,7 +40,6 @@ mkdir -p "$OUT_DIR"
 BENCHES=(
   fig1_selective_sgd
   fig2_fedavg_communication
-  fedavg_population
   tab_dp_federated
   fig3_split_inference
   tab_compression
@@ -50,9 +49,6 @@ BENCHES=(
   table1_user_identification
   tab_binary_identification
   tab_mobile_inference
-  serve_throughput
-  trace_overhead
-  codec_throughput
 )
 for bench in "${BENCHES[@]}"; do
   echo "=== $bench (MDL_QUICK=1) ==="
@@ -73,9 +69,9 @@ MDL_PROP_SEED=20260808 "$BUILD_DIR/tests/mdl_chaos_tests"
 # Flight recorder: a serve run with MDL_TRACE_OUT must leave a Chrome-trace
 # JSON that parses and passes the required-key schema check, and the
 # summarizer must be able to read it back.
-echo "=== flight-recorder trace (serve_throughput + trace_report.py) ==="
-MDL_QUICK=1 MDL_TRACE_OUT="$OUT_DIR/trace.json" \
-  "$BUILD_DIR/bench/serve_throughput" > /dev/null
+echo "=== flight-recorder trace (serve_requests + trace_report.py) ==="
+MDL_TRACE_OUT="$OUT_DIR/trace.json" \
+  "$BUILD_DIR/examples/serve_requests" > /dev/null
 python3 scripts/trace_report.py --check "$OUT_DIR/trace.json"
 python3 scripts/trace_report.py "$OUT_DIR/trace.json"
 

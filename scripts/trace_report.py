@@ -15,7 +15,7 @@ Check mode validates the structural schema the repo's tests and CI rely
 on: a top-level `traceEvents` list, required keys per event, `b`/`e`
 events carrying an `id`, and numeric timestamps. Exits non-zero on the
 first violation, so it doubles as the smoke-test gate for dumps produced
-by `MDL_TRACE_OUT=... bench/serve_throughput`.
+by `MDL_TRACE_OUT=... examples/serve_requests`.
 
 A wrapped ring drops the oldest events, which can leave unmatched begins
 or ends at the seam; both modes tolerate (and count) those.

@@ -530,7 +530,8 @@ TEST_F(TrainerFixture, FedAvgCompressedResumeIsBitIdentical) {
   // bytes, so the codec legitimately takes its stored escape here — the
   // contract worth pinning at this scale is *bounded overhead*, never
   // blow-up (real shrinkage is pinned by
-  // ArchiveCompressed.SmallerThanPlainOnSkewedPayload and BENCH_codec).
+  // ArchiveCompressed.SmallerThanPlainOnSkewedPayload, and perfbench's
+  // fedavg_round reports it as ckpt.compress_ratio).
   const std::string plain_dir = dir + "/plain";
   federated::FedAvgConfig plain_cfg = first;
   plain_cfg.checkpoint.dir = plain_dir;

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <thread>
 
+#include "compress/int8.hpp"
 #include "core/threadpool.hpp"
 #include "nn/activations.hpp"
 #include "nn/linear.hpp"
@@ -38,7 +39,9 @@ apps::MultiViewModel make_multiview(Rng& rng) {
   return apps::MultiViewModel(cfg, rng);
 }
 
-split::SplitInference make_split(Rng& rng) {
+/// With `int8_cloud`, the cloud half is the same weights passed through
+/// compress::int8_quantize_mlp (Int8Linear layers).
+split::SplitInference make_split(Rng& rng, bool int8_cloud = false) {
   auto local = std::make_unique<nn::Sequential>();
   local->emplace<nn::Linear>(6, 5, rng);
   local->emplace<nn::Tanh>();
@@ -46,6 +49,7 @@ split::SplitInference make_split(Rng& rng) {
   cloud->emplace<nn::Linear>(5, 8, rng);
   cloud->emplace<nn::ReLU>();
   cloud->emplace<nn::Linear>(8, 3, rng);
+  if (int8_cloud) cloud = compress::int8_quantize_mlp(*cloud);
   return split::SplitInference(std::move(local), std::move(cloud));
 }
 
@@ -376,7 +380,12 @@ TEST(ServeQueue, RejectsMalformedRequests) {
 TEST(ServeSplit, BatchedPerturbationMatchesSequential) {
   PoolGuard guard;
   Rng rng(18);
-  const split::SplitInference split_model = make_split(rng);
+  const split::SplitInference float_model = make_split(rng);
+  // The same weights again, with an Int8Linear cloud half: its batch path
+  // quantizes each row on its own, so batching must not change a bit.
+  Rng twin(18);
+  const split::SplitInference int8_model =
+      make_split(twin, /*int8_cloud=*/true);
   ServeConfig cfg;
   cfg.max_batch_size = 4;
   cfg.perturb.nullification_rate = 0.3;
@@ -385,20 +394,23 @@ TEST(ServeSplit, BatchedPerturbationMatchesSequential) {
   std::vector<InferenceRequest> reqs;
   for (int i = 0; i < 11; ++i) reqs.push_back(split_request(rng));
 
-  set_shared_pool_threads(1);
-  std::vector<Tensor> expected;
-  {
-    InferenceServer ref_server(nullptr, &split_model, cfg);
-    for (const InferenceRequest& r : reqs)
-      expected.push_back(ref_server.score(r));
-  }
+  for (const split::SplitInference* split_model : {&float_model, &int8_model}) {
+    SCOPED_TRACE(split_model == &int8_model ? "int8 cloud" : "float cloud");
+    set_shared_pool_threads(1);
+    std::vector<Tensor> expected;
+    {
+      InferenceServer ref_server(nullptr, split_model, cfg);
+      for (const InferenceRequest& r : reqs)
+        expected.push_back(ref_server.score(r));
+    }
 
-  set_shared_pool_threads(2);
-  InferenceServer server(nullptr, &split_model, cfg);
-  const auto results = run_staged(server, reqs);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    ASSERT_EQ(results[i].status, RequestStatus::kOk);
-    EXPECT_TRUE(results[i].logits == expected[i]) << "request " << i;
+    set_shared_pool_threads(2);
+    InferenceServer server(nullptr, split_model, cfg);
+    const auto results = run_staged(server, reqs);
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      ASSERT_EQ(results[i].status, RequestStatus::kOk);
+      EXPECT_TRUE(results[i].logits == expected[i]) << "request " << i;
+    }
   }
 }
 
