@@ -180,19 +180,19 @@ void BM_LinearInferInt8(benchmark::State& state) {
 }
 BENCHMARK(BM_LinearInferInt8)->ArgsProduct({{256, 512}, {8}});
 
-void BM_GruStep(benchmark::State& state) {
+// GRU::infer at the DeepMood alnum view shape (T=32, I=4, H=16): the
+// per-view encoder cost a serving batch pays.
+void BM_GruInfer(benchmark::State& state) {
   const std::int64_t batch = state.range(0);
   Rng rng(3);
-  nn::GRUCell cell(16, 32, rng);
-  const Tensor x = Tensor::randn({batch, 16}, rng);
-  const Tensor h = Tensor::randn({batch, 32}, rng);
+  const nn::GRU gru(4, 16, rng);
+  const Tensor seq = Tensor::randn({32, batch, 4}, rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cell.step(x, h));
-    cell.clear_cache();
+    benchmark::DoNotOptimize(gru.infer(seq));
   }
   state.SetItemsProcessed(state.iterations() * batch);
 }
-BENCHMARK(BM_GruStep)->Arg(1)->Arg(32);
+BENCHMARK(BM_GruInfer)->Arg(1)->Arg(8)->Arg(32);
 
 void BM_GruSequenceForwardBackward(benchmark::State& state) {
   Rng rng(4);

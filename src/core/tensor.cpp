@@ -472,13 +472,20 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b) {
             "matmul_tn shape mismatch " << a.shape_str() << " x "
                                         << b.shape_str());
   Tensor out({a.shape(1), b.shape(1)});
+  matmul_tn_acc(a, b, out);
+  return out;
+}
+
+void matmul_tn_acc(const Tensor& a, const Tensor& b, Tensor& out) {
+  MDL_CHECK(a.ndim() == 2 && b.ndim() == 2 && a.shape(0) == b.shape(0),
+            "matmul_tn_acc shape mismatch " << a.shape_str() << " x "
+                                            << b.shape_str());
   // No dedicated SIMD kernel for _tn (a training-only path); kSimd falls
   // back to the blocked scalar suite.
   if (gemm::mode() == gemm::Mode::kNaive)
     gemm::reference::matmul_tn_acc(a, b, out);
   else
     gemm::tiled_matmul_tn_acc(a, b, out);
-  return out;
 }
 
 Tensor matmul_nt(const Tensor& a, const Tensor& b) {

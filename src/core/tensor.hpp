@@ -183,6 +183,8 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b);
 Tensor matmul_nt(const Tensor& a, const Tensor& b);
 /// out += A @ B; `out` must already be [m, n].
 void matmul_acc(const Tensor& a, const Tensor& b, Tensor& out);
+/// out += A^T @ B; `out` must already be [m, n].
+void matmul_tn_acc(const Tensor& a, const Tensor& b, Tensor& out);
 /// out += A @ B^T; `out` must already be [m, n]. Lets fused layers (GRU /
 /// LSTM gate pre-activations) accumulate both input and recurrent products
 /// into one buffer without a temporary.

@@ -24,15 +24,6 @@ Tensor ReLU::backward(const Tensor& grad_out) {
   return g;
 }
 
-float sigmoid_scalar(float x) {
-  if (x >= 0.0F) {
-    const float e = std::exp(-x);
-    return 1.0F / (1.0F + e);
-  }
-  const float e = std::exp(x);
-  return e / (1.0F + e);
-}
-
 Tensor Sigmoid::forward(const Tensor& x) {
   cached_output_ = infer(x);
   return cached_output_;

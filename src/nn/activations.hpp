@@ -1,6 +1,8 @@
 // Elementwise activation layers and the stable softmax primitive.
 #pragma once
 
+#include <cmath>
+
 #include "nn/module.hpp"
 
 namespace mdl::nn {
@@ -44,8 +46,16 @@ class Tanh : public Module {
 
 // -- Stateless helpers used by losses, GRU, and classical models -----------
 
-/// Numerically stable elementwise sigmoid.
-float sigmoid_scalar(float x);
+/// Numerically stable elementwise sigmoid. Inline, so per-element loops in
+/// other files (the GRU gates) pay no call per element.
+inline float sigmoid_scalar(float x) {
+  if (x >= 0.0F) {
+    const float e = std::exp(-x);
+    return 1.0F / (1.0F + e);
+  }
+  const float e = std::exp(x);
+  return e / (1.0F + e);
+}
 
 /// Applies sigmoid elementwise (out of place).
 Tensor sigmoid(const Tensor& x);

@@ -1,6 +1,8 @@
 #include "nn/gru.hpp"
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <sstream>
 
 #include "nn/activations.hpp"
@@ -9,21 +11,39 @@
 namespace mdl::nn {
 namespace {
 
-// y = x @ W^T + h @ U^T + b for gate pre-activations. The recurrent
-// product accumulates straight into the input product's buffer
-// (matmul_nt_acc), saving a [batch, hidden] temporary and an add pass per
-// gate per step.
-Tensor gate_preact(const Tensor& x, const Tensor& w, const Tensor& h,
-                   const Tensor& u, const Tensor& b) {
-  Tensor a = matmul_nt(x, w);
-  matmul_nt_acc(h, u, a);
-  add_row_broadcast(a, b);
-  return a;
+// Step t's block of a [T·B, cols] tensor is its rows [t·B, (t+1)·B), the
+// size of the [B, cols] step buffer it is copied to or from.
+void load_step(const Tensor& all, std::int64_t t, Tensor& step) {
+  std::copy_n(all.data() + t * step.size(), step.size(), step.data());
+}
+
+void store_step(const Tensor& step, std::int64_t t, Tensor& all) {
+  std::copy_n(step.data(), step.size(), all.data() + t * step.size());
+}
+
+using AccumulatingProduct = void (*)(const Tensor&, const Tensor&, Tensor&);
+
+// target += product(a, b), computed into a zeroed scratch first so the sums
+// are those of target.add_(matmul(a, b)) or target.add_(matmul_tn(a, b)).
+void add_product(AccumulatingProduct product, const Tensor& a,
+                 const Tensor& b, Tensor& scratch, Tensor& target) {
+  scratch.zero();
+  product(a, b, scratch);
+  target.add_(scratch);
+}
+
+// target += a.sum_rows(), through a scratch of length cols.
+void add_row_sums(const Tensor& a, Tensor& scratch, Tensor& target) {
+  scratch.zero();
+  const std::int64_t cols = a.shape(1);
+  for (std::int64_t i = 0; i < a.shape(0); ++i)
+    for (std::int64_t j = 0; j < cols; ++j) scratch[j] += a[i * cols + j];
+  target.add_(scratch);
 }
 
 }  // namespace
 
-GRUCell::GRUCell(std::int64_t input_size, std::int64_t hidden_size, Rng& rng)
+GRU::GRU(std::int64_t input_size, std::int64_t hidden_size, Rng& rng)
     : input_size_(input_size),
       hidden_size_(hidden_size),
       w_r_("w_r", Tensor({hidden_size, input_size})),
@@ -46,122 +66,10 @@ GRUCell::GRUCell(std::int64_t input_size, std::int64_t hidden_size, Rng& rng)
   b_z_.value.fill(1.0F);
 }
 
-Tensor GRUCell::step(const Tensor& x, const Tensor& h_prev) {
-  StepCache c;
-  Tensor h = compute_step(x, h_prev, &c);
-  cache_.push_back(std::move(c));
-  return h;
-}
-
-Tensor GRUCell::step_infer(const Tensor& x, const Tensor& h_prev) const {
-  return compute_step(x, h_prev, nullptr);
-}
-
-Tensor GRUCell::compute_step(const Tensor& x, const Tensor& h_prev,
-                             StepCache* sink) const {
-  MDL_CHECK(x.ndim() == 2 && x.shape(1) == input_size_,
-            "GRU step input " << x.shape_str());
-  MDL_CHECK(h_prev.ndim() == 2 && h_prev.shape(1) == hidden_size_ &&
-                h_prev.shape(0) == x.shape(0),
-            "GRU step hidden " << h_prev.shape_str());
-
-  Tensor r =
-      sigmoid(gate_preact(x, w_r_.value, h_prev, u_r_.value, b_r_.value));
-  Tensor z =
-      sigmoid(gate_preact(x, w_z_.value, h_prev, u_z_.value, b_z_.value));
-  Tensor rh = r;  // r ⊙ h_prev
-  rh.mul_(h_prev);
-  Tensor h_cand =
-      tanh_t(gate_preact(x, w_h_.value, rh, u_h_.value, b_h_.value));
-
-  // h = z ⊙ h_prev + (1 - z) ⊙ h~
-  Tensor h = z;
-  h.mul_(h_prev);
-  Tensor rest = h_cand;
-  for (std::int64_t i = 0; i < rest.size(); ++i)
-    rest[i] *= 1.0F - z[i];
-  h.add_(rest);
-
-  if (sink != nullptr)
-    *sink = {x, h_prev, std::move(r), std::move(z), std::move(h_cand),
-             std::move(rh)};
-  return h;
-}
-
-std::pair<Tensor, Tensor> GRUCell::step_backward(const Tensor& grad_h) {
-  MDL_CHECK(!cache_.empty(), "step_backward without a cached step");
-  const StepCache c = std::move(cache_.back());
-  cache_.pop_back();
-  MDL_CHECK(grad_h.same_shape(c.h_prev), "grad_h shape mismatch");
-
-  const std::int64_t n = grad_h.size();
-
-  // h = z ⊙ h_prev + (1 - z) ⊙ h~
-  Tensor dz(grad_h.shape());        // d loss / d z
-  Tensor dh_cand(grad_h.shape());   // d loss / d h~
-  Tensor dh_prev = grad_h;          // starts with the direct z ⊙ path
-  for (std::int64_t i = 0; i < n; ++i) {
-    dz[i] = grad_h[i] * (c.h_prev[i] - c.h_cand[i]);
-    dh_cand[i] = grad_h[i] * (1.0F - c.z[i]);
-    dh_prev[i] = grad_h[i] * c.z[i];
-  }
-
-  // Through tanh: a_h = W x + U (r ⊙ h_prev) + b
-  Tensor da_h = dh_cand;
-  for (std::int64_t i = 0; i < n; ++i)
-    da_h[i] *= 1.0F - c.h_cand[i] * c.h_cand[i];
-  w_h_.grad.add_(matmul_tn(da_h, c.x));
-  u_h_.grad.add_(matmul_tn(da_h, c.rh));
-  b_h_.grad.add_(da_h.sum_rows());
-  Tensor dx = matmul(da_h, w_h_.value);
-  Tensor drh = matmul(da_h, u_h_.value);  // d loss / d (r ⊙ h_prev)
-  Tensor dr(grad_h.shape());
-  for (std::int64_t i = 0; i < n; ++i) {
-    dr[i] = drh[i] * c.h_prev[i];
-    dh_prev[i] += drh[i] * c.r[i];
-  }
-
-  // Through the sigmoid gates.
-  Tensor da_r = dr;
-  for (std::int64_t i = 0; i < n; ++i)
-    da_r[i] *= c.r[i] * (1.0F - c.r[i]);
-  w_r_.grad.add_(matmul_tn(da_r, c.x));
-  u_r_.grad.add_(matmul_tn(da_r, c.h_prev));
-  b_r_.grad.add_(da_r.sum_rows());
-  dx.add_(matmul(da_r, w_r_.value));
-  dh_prev.add_(matmul(da_r, u_r_.value));
-
-  Tensor da_z = dz;
-  for (std::int64_t i = 0; i < n; ++i)
-    da_z[i] *= c.z[i] * (1.0F - c.z[i]);
-  w_z_.grad.add_(matmul_tn(da_z, c.x));
-  u_z_.grad.add_(matmul_tn(da_z, c.h_prev));
-  b_z_.grad.add_(da_z.sum_rows());
-  dx.add_(matmul(da_z, w_z_.value));
-  dh_prev.add_(matmul(da_z, u_z_.value));
-
-  return {std::move(dx), std::move(dh_prev)};
-}
-
-void GRUCell::clear_cache() { cache_.clear(); }
-
-std::vector<Parameter*> GRUCell::parameters() {
-  return {&w_r_, &u_r_, &b_r_, &w_z_, &u_z_, &b_z_, &w_h_, &u_h_, &b_h_};
-}
-
-std::int64_t GRUCell::flops_per_step_per_example() const {
-  // Three input matmuls, three recurrent matmuls, plus elementwise work.
-  return 3 * 2 * input_size_ * hidden_size_ +
-         3 * 2 * hidden_size_ * hidden_size_ + 12 * hidden_size_;
-}
-
-GRU::GRU(std::int64_t input_size, std::int64_t hidden_size, Rng& rng)
-    : cell_(input_size, hidden_size, rng) {}
-
 Tensor GRU::forward(const Tensor& sequence) {
-  Tensor h = run(sequence, &cell_);
-  last_t_ = sequence.shape(0);
-  last_batch_ = sequence.shape(1);
+  SequenceCache c;
+  Tensor h = run(sequence, &c);
+  cache_ = std::move(c);
   return h;
 }
 
@@ -169,46 +77,179 @@ Tensor GRU::infer(const Tensor& sequence) const {
   return run(sequence, nullptr);
 }
 
-Tensor GRU::run(const Tensor& sequence, GRUCell* recorder) const {
-  MDL_CHECK(sequence.ndim() == 3 && sequence.shape(2) == cell_.input_size(),
-            "GRU expects [T, B, " << cell_.input_size() << "], got "
+Tensor GRU::run(const Tensor& sequence, SequenceCache* sink) const {
+  MDL_CHECK(sequence.ndim() == 3 && sequence.shape(2) == input_size_,
+            "GRU expects [T, B, " << input_size_ << "], got "
                                   << sequence.shape_str());
   const std::int64_t t_len = sequence.shape(0);
   MDL_CHECK(t_len > 0, "GRU needs at least one time step");
-  if (recorder != nullptr) recorder->clear_cache();
-  Tensor h({sequence.shape(1), cell_.hidden_size()});
+  const std::int64_t batch = sequence.shape(1);
+  const std::int64_t hid = hidden_size_;
+
+  // x·Wᵀ for every step at once. A GEMM row's chain does not depend on the
+  // row count, and the r and z blocks are separate output columns, so each
+  // element equals its per-step matmul_nt(x_t, W_*) bit for bit. With a
+  // sink, step t's rows are then overwritten by its gates and h~, which
+  // backward() reads.
+  Tensor x = sequence.reshape({t_len * batch, input_size_});
+  Tensor rz_all =
+      matmul_nt(x, Tensor::concat_rows(std::array{w_r_.value, w_z_.value}));
+  Tensor h_cand_all = matmul_nt(x, w_h_.value);
+  const Tensor u_rz =
+      Tensor::concat_rows(std::array{u_r_.value, u_z_.value});
+
+  Tensor h({batch, hid});
+  Tensor rz({batch, 2 * hid});  // pre-activations, then the gates r | z
+  Tensor rh({batch, hid});      // r ⊙ h_prev
+  Tensor h_cand({batch, hid});  // pre-activation, then h~
+  Tensor h_prev_all;
+  Tensor rh_all;
+  if (sink != nullptr) {
+    h_prev_all = Tensor({t_len * batch, hid});
+    rh_all = Tensor({t_len * batch, hid});
+  }
   for (std::int64_t t = 0; t < t_len; ++t) {
-    const Tensor x = sequence.time_step(t);
-    h = recorder != nullptr ? recorder->step(x, h) : cell_.step_infer(x, h);
+    if (sink != nullptr) store_step(h, t, h_prev_all);
+    // a = (x·Wᵀ + h·Uᵀ) + b: the recurrent terms continue the input
+    // product's chain, then the bias is added, as in Eq. (1) step by step.
+    load_step(rz_all, t, rz);
+    matmul_nt_acc(h, u_rz, rz);
+    for (std::int64_t b = 0; b < batch; ++b) {
+      float* g = rz.data() + b * 2 * hid;
+      for (std::int64_t j = 0; j < hid; ++j) {
+        g[j] = sigmoid_scalar(g[j] + b_r_.value[j]);
+        g[hid + j] = sigmoid_scalar(g[hid + j] + b_z_.value[j]);
+        rh[b * hid + j] = g[j] * h[b * hid + j];
+      }
+    }
+    load_step(h_cand_all, t, h_cand);
+    matmul_nt_acc(rh, u_h_.value, h_cand);
+    // h = z ⊙ h_prev + (1 - z) ⊙ h~, in place: each element reads only
+    // its own h_prev.
+    for (std::int64_t b = 0; b < batch; ++b) {
+      const float* z = rz.data() + b * 2 * hid + hid;
+      for (std::int64_t j = 0; j < hid; ++j) {
+        const std::int64_t i = b * hid + j;
+        h_cand[i] = std::tanh(h_cand[i] + b_h_.value[j]);
+        h[i] = (z[j] * h[i]) + (h_cand[i] * (1.0F - z[j]));
+      }
+    }
+    if (sink != nullptr) {
+      store_step(rz, t, rz_all);
+      store_step(rh, t, rh_all);
+      store_step(h_cand, t, h_cand_all);
+    }
+  }
+  if (sink != nullptr) {
+    *sink = {std::move(x), std::move(h_prev_all), std::move(rz_all),
+             std::move(h_cand_all), std::move(rh_all), t_len};
   }
   return h;
 }
 
 Tensor GRU::backward(const Tensor& grad_last_hidden) {
+  MDL_CHECK(cache_.has_value(), "GRU backward without a cached forward");
+  const std::int64_t hid = hidden_size_;
+  const std::int64_t t_len = cache_->steps;
+  const std::int64_t batch = cache_->h_prev.shape(0) / t_len;
   MDL_CHECK(grad_last_hidden.ndim() == 2 &&
-                grad_last_hidden.shape(0) == last_batch_ &&
-                grad_last_hidden.shape(1) == cell_.hidden_size(),
+                grad_last_hidden.shape(0) == batch &&
+                grad_last_hidden.shape(1) == hid,
             "GRU backward grad " << grad_last_hidden.shape_str());
-  Tensor grad_input({last_t_, last_batch_, cell_.input_size()});
-  Tensor dh = grad_last_hidden;
-  for (std::int64_t t = last_t_ - 1; t >= 0; --t) {
-    auto [dx, dh_prev] = cell_.step_backward(dh);
-    grad_input.set_time_step(t, dx);
-    dh = std::move(dh_prev);
+  SequenceCache c = std::move(*cache_);
+  cache_.reset();
+
+  // Per step: x_t, h_{t-1} and r ⊙ h_{t-1} as matmul operands; the
+  // pre-activation gradients; scratch for the products.
+  Tensor x({batch, input_size_});
+  Tensor h_prev({batch, hid});
+  Tensor rh({batch, hid});
+  Tensor da_h({batch, hid});
+  Tensor da_r({batch, hid});
+  Tensor da_z({batch, hid});
+  Tensor prod({batch, hid});
+  Tensor g_ih({hid, input_size_});
+  Tensor g_hh({hid, hid});
+  Tensor g_b({hid});
+
+  Tensor dh = grad_last_hidden;  // d loss / d h_t, then / d h_{t-1}
+  for (std::int64_t t = t_len - 1; t >= 0; --t) {
+    load_step(c.x, t, x);
+    load_step(c.h_prev, t, h_prev);
+    load_step(c.rh, t, rh);
+    const float* rz = c.rz.data() + t * batch * 2 * hid;
+    const float* h_cand = c.h_cand.data() + t * batch * hid;
+
+    // h = z ⊙ h_prev + (1 - z) ⊙ h~, and h~ = tanh(a_h). da_z holds
+    // d loss / d z until the gate derivative is applied below.
+    for (std::int64_t b = 0; b < batch; ++b) {
+      for (std::int64_t j = 0; j < hid; ++j) {
+        const std::int64_t i = b * hid + j;
+        const float z = rz[b * 2 * hid + hid + j];
+        const float g = dh[i];
+        da_z[i] = g * (h_prev[i] - h_cand[i]);
+        da_h[i] = (g * (1.0F - z)) * (1.0F - h_cand[i] * h_cand[i]);
+        dh[i] = g * z;
+      }
+    }
+    add_product(matmul_tn_acc, da_h, x, g_ih, w_h_.grad);
+    add_product(matmul_tn_acc, da_h, rh, g_hh, u_h_.grad);
+    add_row_sums(da_h, g_b, b_h_.grad);
+
+    // Through a_h = W x + U (r ⊙ h_prev) + b and the sigmoid gates.
+    prod.zero();
+    matmul_acc(da_h, u_h_.value, prod);  // d loss / d (r ⊙ h_prev)
+    for (std::int64_t b = 0; b < batch; ++b) {
+      for (std::int64_t j = 0; j < hid; ++j) {
+        const std::int64_t i = b * hid + j;
+        const float r = rz[b * 2 * hid + j];
+        const float z = rz[b * 2 * hid + hid + j];
+        dh[i] += prod[i] * r;
+        da_r[i] = (prod[i] * h_prev[i]) * (r * (1.0F - r));
+        da_z[i] *= z * (1.0F - z);
+      }
+    }
+    add_product(matmul_tn_acc, da_r, x, g_ih, w_r_.grad);
+    add_product(matmul_tn_acc, da_r, h_prev, g_hh, u_r_.grad);
+    add_row_sums(da_r, g_b, b_r_.grad);
+    add_product(matmul_acc, da_r, u_r_.value, prod, dh);
+
+    add_product(matmul_tn_acc, da_z, x, g_ih, w_z_.grad);
+    add_product(matmul_tn_acc, da_z, h_prev, g_hh, u_z_.grad);
+    add_row_sums(da_z, g_b, b_z_.grad);
+    add_product(matmul_acc, da_z, u_z_.value, prod, dh);
+
+    // Step t's rows of h_cand, h_prev and rh are not read again, so they
+    // keep its pre-activation gradients for the input gradient.
+    store_step(da_h, t, c.h_cand);
+    store_step(da_r, t, c.h_prev);
+    store_step(da_z, t, c.rh);
   }
-  return grad_input;
+
+  // dx_t = da_h·W_h + da_r·W_r + da_z·W_z for all steps at once; rows keep
+  // their chains, and the three terms are added in that order.
+  Tensor dx = matmul(c.h_cand, w_h_.value);
+  dx.add_(matmul(c.h_prev, w_r_.value));
+  dx.add_(matmul(c.rh, w_z_.value));
+  return dx.reshape({t_len, batch, input_size_});
 }
 
-std::vector<Parameter*> GRU::parameters() { return cell_.parameters(); }
+std::vector<Parameter*> GRU::parameters() {
+  return {&w_r_, &u_r_, &b_r_, &w_z_, &u_z_, &b_z_, &w_h_, &u_h_, &b_h_};
+}
 
 std::string GRU::name() const {
   std::ostringstream os;
-  os << "GRU(" << cell_.input_size() << "->" << cell_.hidden_size() << ')';
+  os << "GRU(" << input_size_ << "->" << hidden_size_ << ')';
   return os.str();
 }
 
 std::int64_t GRU::flops_per_example() const {
-  return nominal_seq_len_ * cell_.flops_per_step_per_example();
+  // Per step: three input matmuls, three recurrent matmuls, plus
+  // elementwise work.
+  return nominal_seq_len_ *
+         (3 * 2 * input_size_ * hidden_size_ +
+          3 * 2 * hidden_size_ * hidden_size_ + 12 * hidden_size_);
 }
 
 BiGRU::BiGRU(std::int64_t input_size, std::int64_t hidden_size, Rng& rng)

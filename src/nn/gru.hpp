@@ -8,64 +8,17 @@
 //   h_k = z_k ⊙ h_{k-1} + (1 - z_k) ⊙ h~_k
 // (biases added, as in every practical implementation).
 //
-// GRUCell exposes a single step with an explicit backward-through-time hook;
 // GRU runs a whole [T, B, I] sequence and returns the final hidden state
 // (the "compact representation of the input sequence" the paper feeds into
 // the fusion layer), with full BPTT in backward().
 #pragma once
 
+#include <optional>
+
 #include "core/random.hpp"
 #include "nn/module.hpp"
 
 namespace mdl::nn {
-
-/// One GRU step. step() and step_infer() run the same compute routine;
-/// step() hands it a cache sink for BPTT, step_infer() does not.
-class GRUCell {
- public:
-  GRUCell(std::int64_t input_size, std::int64_t hidden_size, Rng& rng);
-
-  /// h_t given x_t [B, I] and h_{t-1} [B, H]; caches activations for this
-  /// step on an internal stack (one entry per call since the last
-  /// clear_cache()).
-  Tensor step(const Tensor& x, const Tensor& h_prev);
-
-  /// The same step with no cache: const, so safe for concurrent use
-  /// (mdl::serve batch execution). Bit-identical to step().
-  Tensor step_infer(const Tensor& x, const Tensor& h_prev) const;
-
-  /// Backward through the most recent un-popped step. `grad_h` is
-  /// d(loss)/d(h_t); returns {d(loss)/d(x_t), d(loss)/d(h_{t-1})} and
-  /// accumulates parameter gradients.
-  std::pair<Tensor, Tensor> step_backward(const Tensor& grad_h);
-
-  /// Drops all cached steps (start of a new sequence).
-  void clear_cache();
-  std::size_t cached_steps() const { return cache_.size(); }
-
-  std::vector<Parameter*> parameters();
-  std::int64_t input_size() const { return input_size_; }
-  std::int64_t hidden_size() const { return hidden_size_; }
-  std::int64_t flops_per_step_per_example() const;
-
- private:
-  struct StepCache {
-    Tensor x, h_prev, r, z, h_cand, rh;  // rh = r ⊙ h_prev
-  };
-
-  /// Eq. (1) for one step. Fills `sink` (when non-null) with what
-  /// step_backward() needs; without a sink it copies nothing.
-  Tensor compute_step(const Tensor& x, const Tensor& h_prev,
-                      StepCache* sink) const;
-
-  std::int64_t input_size_;
-  std::int64_t hidden_size_;
-  // Gate weights: W_* [H, I] act on x; U_* [H, H] act on h.
-  Parameter w_r_, u_r_, b_r_;
-  Parameter w_z_, u_z_, b_z_;
-  Parameter w_h_, u_h_, b_h_;
-  std::vector<StepCache> cache_;
-};
 
 /// Sequence-level GRU. forward() consumes [T, B, I] and returns the final
 /// hidden state [B, H]; backward() takes d(loss)/d(h_T) and returns the
@@ -75,28 +28,48 @@ class GRU : public Module {
   GRU(std::int64_t input_size, std::int64_t hidden_size, Rng& rng);
 
   Tensor forward(const Tensor& sequence) override;
+  /// Consumes the cache of the last forward(): a second call throws.
   Tensor backward(const Tensor& grad_last_hidden) override;
   Tensor infer(const Tensor& sequence) const override;
   std::vector<Parameter*> parameters() override;
   std::string name() const override;
   std::int64_t flops_per_example() const override;
 
-  std::int64_t input_size() const { return cell_.input_size(); }
-  std::int64_t hidden_size() const { return cell_.hidden_size(); }
+  std::int64_t input_size() const { return input_size_; }
+  std::int64_t hidden_size() const { return hidden_size_; }
 
   /// Sequence length assumed by flops_per_example (configurable because
   /// FLOPs depend on T; defaults to 1).
   void set_nominal_seq_len(std::int64_t t) { nominal_seq_len_ = t; }
 
  private:
-  /// The step loop shared by forward() and infer(). With a `recorder`
-  /// (forward passes &cell_) every step is cached for BPTT; without one
-  /// the loop only computes.
-  Tensor run(const Tensor& sequence, GRUCell* recorder) const;
+  /// What backward() reads. Each tensor has T·B rows; rows
+  /// [t·B, (t+1)·B) belong to step t. backward() consumes it: once step t
+  /// is done, its rows of h_cand, h_prev and rh hold that step's
+  /// pre-activation gradients da_h, da_r and da_z.
+  struct SequenceCache {
+    Tensor x;                ///< [T·B, I] inputs
+    Tensor h_prev;           ///< [T·B, H] h_{t-1}
+    Tensor rz;               ///< [T·B, 2H] gates r | z
+    Tensor h_cand;           ///< [T·B, H] candidate h~
+    Tensor rh;               ///< [T·B, H] r ⊙ h_{t-1}
+    std::int64_t steps = 0;  ///< T
+  };
 
-  GRUCell cell_;
-  std::int64_t last_t_ = 0;
-  std::int64_t last_batch_ = 0;
+  /// Eq. (1) over the whole sequence, shared by forward() and infer(). The
+  /// input projections of all steps run as two GEMMs before the step loop;
+  /// each step adds h·[U_r; U_z]ᵀ and (r ⊙ h)·U_hᵀ into buffers allocated
+  /// once per call. Fills `sink` (when non-null) with what backward()
+  /// needs; without a sink it records nothing.
+  Tensor run(const Tensor& sequence, SequenceCache* sink) const;
+
+  std::int64_t input_size_;
+  std::int64_t hidden_size_;
+  // Gate weights: W_* [H, I] act on x; U_* [H, H] act on h.
+  Parameter w_r_, u_r_, b_r_;
+  Parameter w_z_, u_z_, b_z_;
+  Parameter w_h_, u_h_, b_h_;
+  std::optional<SequenceCache> cache_;
   std::int64_t nominal_seq_len_ = 1;
 };
 

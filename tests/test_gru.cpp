@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "grad_check.hpp"
 #include "nn/activations.hpp"
 #include "nn/linear.hpp"
@@ -10,16 +14,142 @@
 namespace mdl::nn {
 namespace {
 
+// Eq. (1) one step at a time with Tensor ops, every step cached for BPTT:
+// the per-step GRU that GRU's sequence routine must reproduce bit for bit.
+class StepReference {
+ public:
+  explicit StepReference(GRU& gru) : p_(gru.parameters()) {}
+
+  Tensor forward(const Tensor& seq) {
+    steps_.clear();
+    Tensor h({seq.shape(1), value(kUr).shape(0)});
+    for (std::int64_t t = 0; t < seq.shape(0); ++t) {
+      Step s{seq.time_step(t), h, {}, {}, {}, {}};
+      s.r = sigmoid(gate(s.x, kWr, h, kUr, kBr));
+      s.z = sigmoid(gate(s.x, kWz, h, kUz, kBz));
+      s.rh = s.r;
+      s.rh.mul_(h);
+      s.h_cand = tanh_t(gate(s.x, kWh, s.rh, kUh, kBh));
+      h = s.z;
+      h.mul_(s.h_prev);
+      Tensor rest = s.h_cand;
+      for (std::int64_t i = 0; i < rest.size(); ++i) rest[i] *= 1.0F - s.z[i];
+      h.add_(rest);
+      steps_.push_back(std::move(s));
+    }
+    return h;
+  }
+
+  /// Returns d loss / d seq and adds the parameter gradients to `grads`
+  /// (parameters() order).
+  Tensor backward(const Tensor& grad_h, std::vector<Tensor>& grads) {
+    const auto t_len = static_cast<std::int64_t>(steps_.size());
+    Tensor grad_in({t_len, grad_h.shape(0), value(kWr).shape(1)});
+    Tensor dh = grad_h;
+    for (std::int64_t t = t_len - 1; t >= 0; --t) {
+      const Step& c = steps_[static_cast<std::size_t>(t)];
+      const std::int64_t n = dh.size();
+      Tensor dz(dh.shape());
+      Tensor dh_cand(dh.shape());
+      Tensor dh_prev = dh;
+      for (std::int64_t i = 0; i < n; ++i) {
+        dz[i] = dh[i] * (c.h_prev[i] - c.h_cand[i]);
+        dh_cand[i] = dh[i] * (1.0F - c.z[i]);
+        dh_prev[i] = dh[i] * c.z[i];
+      }
+      Tensor da_h = dh_cand;
+      for (std::int64_t i = 0; i < n; ++i)
+        da_h[i] *= 1.0F - c.h_cand[i] * c.h_cand[i];
+      grads[kWh].add_(matmul_tn(da_h, c.x));
+      grads[kUh].add_(matmul_tn(da_h, c.rh));
+      grads[kBh].add_(da_h.sum_rows());
+      Tensor dx = matmul(da_h, value(kWh));
+      const Tensor drh = matmul(da_h, value(kUh));
+      Tensor dr(dh.shape());
+      for (std::int64_t i = 0; i < n; ++i) {
+        dr[i] = drh[i] * c.h_prev[i];
+        dh_prev[i] += drh[i] * c.r[i];
+      }
+      Tensor da_r = dr;
+      for (std::int64_t i = 0; i < n; ++i) da_r[i] *= c.r[i] * (1.0F - c.r[i]);
+      grads[kWr].add_(matmul_tn(da_r, c.x));
+      grads[kUr].add_(matmul_tn(da_r, c.h_prev));
+      grads[kBr].add_(da_r.sum_rows());
+      dx.add_(matmul(da_r, value(kWr)));
+      dh_prev.add_(matmul(da_r, value(kUr)));
+      Tensor da_z = dz;
+      for (std::int64_t i = 0; i < n; ++i) da_z[i] *= c.z[i] * (1.0F - c.z[i]);
+      grads[kWz].add_(matmul_tn(da_z, c.x));
+      grads[kUz].add_(matmul_tn(da_z, c.h_prev));
+      grads[kBz].add_(da_z.sum_rows());
+      dx.add_(matmul(da_z, value(kWz)));
+      dh_prev.add_(matmul(da_z, value(kUz)));
+      grad_in.set_time_step(t, dx);
+      dh = std::move(dh_prev);
+    }
+    return grad_in;
+  }
+
+ private:
+  // Indices into GRU::parameters().
+  enum : std::size_t { kWr, kUr, kBr, kWz, kUz, kBz, kWh, kUh, kBh };
+  struct Step {
+    Tensor x, h_prev, r, z, h_cand, rh;
+  };
+
+  const Tensor& value(std::size_t k) const { return p_[k]->value; }
+
+  Tensor gate(const Tensor& x, std::size_t w, const Tensor& h, std::size_t u,
+              std::size_t b) const {
+    Tensor a = matmul_nt(x, value(w));
+    matmul_nt_acc(h, value(u), a);
+    add_row_broadcast(a, value(b));
+    return a;
+  }
+
+  std::vector<Parameter*> p_;
+  std::vector<Step> steps_;
+};
+
+TEST(GruSequence, MatchesStepReference) {
+  // Two forward/backward rounds without zero_grad, so the gradient sums
+  // across calls are pinned too.
+  for (const std::int64_t in : {3, 4, 6})
+    for (const std::int64_t hid : {5, 16})
+      for (const std::int64_t t_len : {1, 12, 32, 48})
+        for (const std::int64_t batch : {1, 3, 8, 32}) {
+          SCOPED_TRACE(testing::Message() << "I=" << in << " H=" << hid
+                                          << " T=" << t_len << " B=" << batch);
+          Rng rng(static_cast<std::uint64_t>(in * 1000 + t_len * 10 + batch));
+          GRU gru(in, hid, rng);
+          StepReference ref(gru);
+          std::vector<Tensor> grads;
+          for (Parameter* p : gru.parameters())
+            grads.emplace_back(p->grad.shape());
+          for (int round = 0; round < 2; ++round) {
+            const Tensor seq = Tensor::randn({t_len, batch, in}, rng);
+            const Tensor grad = Tensor::randn({batch, hid}, rng);
+            const Tensor h = ref.forward(seq);
+            EXPECT_TRUE(gru.infer(seq) == h);
+            EXPECT_TRUE(gru.forward(seq) == h);
+            EXPECT_TRUE(gru.backward(grad) == ref.backward(grad, grads));
+          }
+          const std::vector<Parameter*> params = gru.parameters();
+          for (std::size_t k = 0; k < params.size(); ++k)
+            EXPECT_TRUE(params[k]->grad == grads[k]) << params[k]->name;
+        }
+}
+
+// The GRUCell suite checks the recurrence of Eq. (1) through the sequence
+// API.
 TEST(GRUCell, StepShapeAndDeterminism) {
   Rng rng(1);
-  GRUCell cell(4, 6, rng);
-  const Tensor x = Tensor::randn({3, 4}, rng);
-  const Tensor h0({3, 6});
-  const Tensor h1 = cell.step(x, h0);
+  GRU gru(4, 6, rng);
+  const Tensor x = Tensor::randn({1, 3, 4}, rng);
+  const Tensor h1 = gru.forward(x);
   EXPECT_EQ(h1.shape(0), 3);
   EXPECT_EQ(h1.shape(1), 6);
-  cell.clear_cache();
-  const Tensor h1b = cell.step(x, h0);
+  const Tensor h1b = gru.forward(x);
   EXPECT_TRUE(allclose(h1, h1b, 0.0F));
 }
 
@@ -27,42 +157,41 @@ TEST(GRUCell, HiddenStaysBounded) {
   // GRU hidden state is a convex combination of h_prev and tanh output, so
   // it must stay in (-1, 1) when started from zero.
   Rng rng(2);
-  GRUCell cell(3, 5, rng);
-  Tensor h({2, 5});
-  for (int t = 0; t < 50; ++t)
-    h = cell.step(Tensor::randn({2, 3}, rng, 0.0F, 3.0F), h);
+  GRU gru(3, 5, rng);
+  const Tensor h = gru.infer(Tensor::randn({50, 2, 3}, rng, 0.0F, 3.0F));
   EXPECT_LT(h.max(), 1.0F);
   EXPECT_GT(h.min(), -1.0F);
 }
 
 TEST(GRUCell, UpdateGateInterpolates) {
-  // With identical weights, a step from h_prev = tanh-range vector keeps
-  // h between h_prev and the candidate: |h| <= max(|h_prev|, 1).
+  // The last step keeps h_T between h_{T-1} and the candidate:
+  // |h_T| <= max(|h_{T-1}|, 1).
   Rng rng(3);
-  GRUCell cell(2, 4, rng);
-  Tensor h({1, 4}, {0.9F, -0.9F, 0.5F, 0.0F});
-  const Tensor h1 = cell.step(Tensor::randn({1, 2}, rng), h);
+  GRU gru(2, 4, rng);
+  const Tensor seq = Tensor::randn({6, 1, 2}, rng, 0.0F, 3.0F);
+  Tensor head({5, 1, 2});
+  for (std::int64_t t = 0; t < 5; ++t) head.set_time_step(t, seq.time_step(t));
+  const Tensor h_prev = gru.infer(head);
+  const Tensor h = gru.infer(seq);
   for (std::int64_t i = 0; i < 4; ++i)
-    EXPECT_LE(std::abs(h1[i]), std::max(std::abs(h[i]), 1.0F));
+    EXPECT_LE(std::abs(h[i]), std::max(std::abs(h_prev[i]), 1.0F));
 }
 
-TEST(GRUCell, BackwardRequiresCache) {
+TEST(GRU, BackwardWithoutForwardThrows) {
   Rng rng(4);
-  GRUCell cell(2, 3, rng);
-  EXPECT_THROW(cell.step_backward(Tensor({1, 3})), Error);
+  GRU gru(2, 3, rng);
+  EXPECT_THROW(gru.backward(Tensor({1, 3})), Error);
 }
 
-TEST(GRUCell, CacheDepthTracksSteps) {
+TEST(GRU, SecondBackwardThrows) {
+  // backward() consumes the cache of its forward().
   Rng rng(5);
-  GRUCell cell(2, 3, rng);
-  Tensor h({1, 3});
-  h = cell.step(Tensor({1, 2}), h);
-  h = cell.step(Tensor({1, 2}), h);
-  EXPECT_EQ(cell.cached_steps(), 2U);
-  cell.step_backward(Tensor({1, 3}));
-  EXPECT_EQ(cell.cached_steps(), 1U);
-  cell.clear_cache();
-  EXPECT_EQ(cell.cached_steps(), 0U);
+  GRU gru(2, 3, rng);
+  gru.forward(Tensor({2, 1, 2}));
+  gru.backward(Tensor({1, 3}));
+  EXPECT_THROW(gru.backward(Tensor({1, 3})), Error);
+  gru.forward(Tensor({2, 1, 2}));
+  EXPECT_NO_THROW(gru.backward(Tensor({1, 3})));
 }
 
 TEST(GRU, ForwardShapes) {
