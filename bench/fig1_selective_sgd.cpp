@@ -36,8 +36,8 @@ int main(int argc, char** argv) {
   Rng c_rng(1);
   auto central = factory(c_rng);
   Rng ct_rng(2);
-  federated::train_centralized(*central, split.train, rounds, 16, 0.1,
-                               ct_rng);
+  // Centralized baseline: SGD on the union of shards (upper bound).
+  federated::local_sgd(*central, split.train, rounds, 16, 0.1, ct_rng);
   const double centralized_acc =
       federated::evaluate_accuracy(*central, split.test);
 

@@ -22,8 +22,9 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
 # GEMM dispatch matrix: the kernel-facing tests, the forward()==infer()
-# parity tests and the GRU tests (GruSequence pins the hoisted sequence
-# routine to the per-step math bit for bit) under every MDL_GEMM value.
+# parity tests and the GRU and LSTM tests (GruSequence and LstmSequence pin
+# the hoisted sequence routines to the per-step math bit for bit) under
+# every MDL_GEMM value.
 # simd only runs where the CPU has
 # AVX2 (elsewhere requesting it is the error path the dispatch tests cover
 # from the default run above).
@@ -34,7 +35,7 @@ for mode in naive blocked simd; do
   fi
   echo "=== MDL_GEMM=$mode (kernel-facing tests) ==="
   MDL_GEMM=$mode "$BUILD_DIR/tests/mdl_tests" \
-    --gtest_filter='Gemm*:Tensor*:Int8*:ActQuant*:Linear*:Serve*:InferParity*:GRU*:GruSequence*'
+    --gtest_filter='Gemm*:Tensor*:Int8*:ActQuant*:Linear*:Serve*:InferParity*:GRU*:GruSequence*:LSTM*:LstmSequence*'
 done
 
 OUT_DIR="$BUILD_DIR/smoke-jsonl"

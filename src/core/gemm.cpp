@@ -203,7 +203,7 @@ const char* mode_name(Mode m) {
 
 Mode parse_mode(const std::string& value) {
   if (value == "naive") return Mode::kNaive;
-  if (value == "blocked" || value == "tiled") return Mode::kBlocked;
+  if (value == "blocked") return Mode::kBlocked;
   if (value == "simd") {
     MDL_CHECK(cpu::simd_gemm_supported(),
               "MDL_GEMM=simd requested but this "

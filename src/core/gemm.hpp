@@ -60,19 +60,18 @@ inline constexpr std::int64_t kParallelFlopThreshold = 1LL << 21;
 ///              results are ULP-bounded against the scalar chain, never
 ///              bit-identical; int8 results are exact.
 ///
-/// Selection: MDL_GEMM=naive|blocked|simd overrides everything ("tiled" is
-/// accepted as a legacy alias for blocked; any other value is a clean
-/// mdl::Error at first use). Without the override, a one-shot CPUID probe
-/// (core/cpu_features.hpp) picks kSimd when the build and CPU support
-/// AVX2+FMA, else kBlocked. The resolved kernel is logged once through
-/// mdl::obs (gemm.kernel.<name> counter + a flight-recorder instant) and
-/// exposed via kernel_name() for bench JSONL provenance.
+/// Selection: MDL_GEMM=naive|blocked|simd overrides everything (any other
+/// value is a clean mdl::Error at first use). Without the override, a
+/// one-shot CPUID probe (core/cpu_features.hpp) picks kSimd when the build
+/// and CPU support AVX2+FMA, else kBlocked. The resolved kernel is logged
+/// once through mdl::obs (gemm.kernel.<name> counter + a flight-recorder
+/// instant) and exposed via kernel_name() for bench JSONL provenance.
 enum class Mode { kNaive, kBlocked, kSimd };
 Mode mode();
 void set_mode(Mode m);
 
 /// Parses an MDL_GEMM value; throws mdl::Error on anything but
-/// naive / blocked / tiled (alias) / simd. kSimd additionally requires
+/// naive / blocked / simd. kSimd additionally requires
 /// cpu::simd_gemm_supported() — requesting it on an unsupported
 /// machine/build is an error, not a silent fallback.
 Mode parse_mode(const std::string& value);

@@ -138,12 +138,6 @@ double evaluate_accuracy(nn::Sequential& model,
   return static_cast<double>(correct) / static_cast<double>(pred.size());
 }
 
-double train_centralized(nn::Sequential& model, const data::TabularDataset& ds,
-                         std::int64_t epochs, std::int64_t batch_size,
-                         double lr, Rng& rng) {
-  return local_sgd(model, ds, epochs, batch_size, lr, rng);
-}
-
 std::vector<std::size_t> sample_cohort(Rng& rng, std::size_t n,
                                        std::size_t k) {
   MDL_CHECK(k <= n, "cannot sample " << k << " distinct clients from " << n);

@@ -181,9 +181,4 @@ double full_batch_gradient(nn::Sequential& model,
 /// Classification accuracy of `model` on `ds` (runs in inference mode).
 double evaluate_accuracy(nn::Sequential& model, const data::TabularDataset& ds);
 
-/// Centralized baseline: SGD on the union of shards (upper bound in Fig. 1).
-double train_centralized(nn::Sequential& model, const data::TabularDataset& ds,
-                         std::int64_t epochs, std::int64_t batch_size,
-                         double lr, Rng& rng);
-
 }  // namespace mdl::federated

@@ -13,58 +13,12 @@
 // hidden [B, H] out), so the two are drop-in interchangeable as encoders.
 #pragma once
 
+#include <optional>
+
 #include "core/random.hpp"
 #include "nn/module.hpp"
 
 namespace mdl::nn {
-
-/// One LSTM step. step() and step_infer() run the same compute routine;
-/// step() hands it a cache sink for BPTT, step_infer() does not.
-class LSTMCell {
- public:
-  LSTMCell(std::int64_t input_size, std::int64_t hidden_size, Rng& rng);
-
-  /// (h_t, c_t) given x_t [B, I], h_{t-1} and c_{t-1} [B, H]; caches
-  /// activations for this step (one entry per call since clear_cache()).
-  std::pair<Tensor, Tensor> step(const Tensor& x, const Tensor& h_prev,
-                                 const Tensor& c_prev);
-
-  /// The same step with no cache: const and bit-identical to step().
-  std::pair<Tensor, Tensor> step_infer(const Tensor& x, const Tensor& h_prev,
-                                       const Tensor& c_prev) const;
-
-  /// Backward through the most recent un-popped step. Inputs are
-  /// d(loss)/d(h_t) and d(loss)/d(c_t); returns {dx, dh_prev, dc_prev}.
-  std::tuple<Tensor, Tensor, Tensor> step_backward(const Tensor& grad_h,
-                                                   const Tensor& grad_c);
-
-  void clear_cache();
-  std::size_t cached_steps() const { return cache_.size(); }
-
-  std::vector<Parameter*> parameters();
-  std::int64_t input_size() const { return input_size_; }
-  std::int64_t hidden_size() const { return hidden_size_; }
-  std::int64_t flops_per_step_per_example() const;
-
- private:
-  struct StepCache {
-    Tensor x, h_prev, c_prev, i, f, o, g, c, tanh_c;
-  };
-
-  /// One step of the gate equations. Fills `sink` (when non-null) with what
-  /// step_backward() needs; without a sink it copies nothing.
-  std::pair<Tensor, Tensor> compute_step(const Tensor& x, const Tensor& h_prev,
-                                         const Tensor& c_prev,
-                                         StepCache* sink) const;
-
-  std::int64_t input_size_;
-  std::int64_t hidden_size_;
-  Parameter w_i_, u_i_, b_i_;
-  Parameter w_f_, u_f_, b_f_;
-  Parameter w_o_, u_o_, b_o_;
-  Parameter w_g_, u_g_, b_g_;
-  std::vector<StepCache> cache_;
-};
 
 /// Sequence-level LSTM: [T, B, I] -> final hidden state [B, H].
 class LSTM : public Module {
@@ -72,24 +26,45 @@ class LSTM : public Module {
   LSTM(std::int64_t input_size, std::int64_t hidden_size, Rng& rng);
 
   Tensor forward(const Tensor& sequence) override;
+  /// Consumes the cache of the last forward(): a second call throws.
   Tensor backward(const Tensor& grad_last_hidden) override;
   Tensor infer(const Tensor& sequence) const override;
   std::vector<Parameter*> parameters() override;
   std::string name() const override;
   std::int64_t flops_per_example() const override;
 
-  std::int64_t input_size() const { return cell_.input_size(); }
-  std::int64_t hidden_size() const { return cell_.hidden_size(); }
+  std::int64_t input_size() const { return input_size_; }
+  std::int64_t hidden_size() const { return hidden_size_; }
   void set_nominal_seq_len(std::int64_t t) { nominal_seq_len_ = t; }
 
  private:
-  /// The step loop shared by forward() and infer(); forward passes &cell_
-  /// as `recorder` so every step is cached for BPTT.
-  Tensor run(const Tensor& sequence, LSTMCell* recorder) const;
+  /// What backward() reads. Each tensor has T·B rows; rows
+  /// [t·B, (t+1)·B) belong to step t. backward() consumes it: once step t
+  /// is done, its rows of gates hold that step's pre-activation gradients.
+  struct SequenceCache {
+    Tensor x;                ///< [T·B, I] inputs
+    Tensor h_prev;           ///< [T·B, H] h_{t-1}
+    Tensor c_prev;           ///< [T·B, H] c_{t-1}
+    Tensor gates;            ///< [T·B, 4H] gates i | f | o | g
+    Tensor tanh_c;           ///< [T·B, H] tanh(c_t)
+    std::int64_t steps = 0;  ///< T
+  };
 
-  LSTMCell cell_;
-  std::int64_t last_t_ = 0;
-  std::int64_t last_batch_ = 0;
+  /// The gate equations over the whole sequence, shared by forward() and
+  /// infer(). The input projection of all steps runs as one GEMM before
+  /// the step loop; each step adds h·[U_i; U_f; U_o; U_g]ᵀ into a buffer
+  /// allocated once per call. Fills `sink` (when non-null) with what
+  /// backward() needs; without a sink it records nothing.
+  Tensor run(const Tensor& sequence, SequenceCache* sink) const;
+
+  std::int64_t input_size_;
+  std::int64_t hidden_size_;
+  // Gate weights: W_* [H, I] act on x; U_* [H, H] act on h.
+  Parameter w_i_, u_i_, b_i_;
+  Parameter w_f_, u_f_, b_f_;
+  Parameter w_o_, u_o_, b_o_;
+  Parameter w_g_, u_g_, b_g_;
+  std::optional<SequenceCache> cache_;
   std::int64_t nominal_seq_len_ = 1;
 };
 

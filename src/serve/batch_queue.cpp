@@ -58,7 +58,6 @@ void BatchQueue::shed_expired_locked(
     InferenceResult r;
     r.status = RequestStatus::kShedDeadline;
     r.request_id = rid;
-    r.shed_reason = "deadline";
     r.status_detail = "deadline";
     r.queue_wait_us = us_between(it->enqueue_time, now);
     r.latency_us = r.queue_wait_us;

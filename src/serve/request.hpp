@@ -81,12 +81,6 @@ struct InferenceResult {
   /// including shed/rejected results, so failed requests can be found in a
   /// flight-recorder dump by id.
   std::uint64_t request_id = 0;
-  /// Why the request was not executed ("deadline", "shutdown",
-  /// "overload:queue_depth", "overload:kind_quota", "circuit_open",
-  /// "error"); nullptr on kOk. Always a static string, safe to hold
-  /// indefinitely. Prefer status_detail, which carries the same token plus
-  /// the exception message on kError.
-  const char* shed_reason = nullptr;
   /// Uniform machine-readable outcome detail, set on every non-kOk path:
   /// "deadline", "shutdown", "overload:queue_depth", "overload:kind_quota",
   /// "circuit_open", or the executor's exception message on kError —

@@ -118,7 +118,6 @@ std::future<InferenceResult> InferenceServer::reject(std::uint64_t rid,
   InferenceResult r;
   r.status = status;
   r.request_id = rid;
-  r.shed_reason = reason;
   r.status_detail = reason;
   rejected.set_value(std::move(r));
   return future;
@@ -255,7 +254,6 @@ void InferenceServer::fail_batch(std::vector<PendingRequest>& batch,
     InferenceResult r;
     r.status = RequestStatus::kError;
     r.request_id = rid;
-    r.shed_reason = "error";
     r.status_detail = detail;
     r.batch_size = b;
     r.queue_wait_us = us_between(p.enqueue_time, formed);

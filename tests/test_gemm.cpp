@@ -216,8 +216,7 @@ struct ModeGuard {
 TEST(GemmDispatch, ParseModeAcceptsKnownValuesAndAliases) {
   EXPECT_EQ(gemm::parse_mode("naive"), gemm::Mode::kNaive);
   EXPECT_EQ(gemm::parse_mode("blocked"), gemm::Mode::kBlocked);
-  // "tiled" is the legacy alias from before the SIMD suite existed.
-  EXPECT_EQ(gemm::parse_mode("tiled"), gemm::Mode::kBlocked);
+  EXPECT_THROW(gemm::parse_mode("tiled"), Error);
   if (cpu::simd_gemm_supported()) {
     EXPECT_EQ(gemm::parse_mode("simd"), gemm::Mode::kSimd);
   } else {

@@ -343,7 +343,6 @@ TEST(ChaosExecutor, ModelExceptionCompletesBatchAsErrorAndServerSurvives) {
       server.submit(split_request(rng, kRepDim + 2)).get();
   EXPECT_EQ(bad.status, RequestStatus::kError);
   EXPECT_FALSE(bad.status_detail.empty());
-  EXPECT_STREQ(bad.shed_reason, "error");
 
   // The executor survived: a well-formed request still succeeds.
   const InferenceResult good = server.submit(split_request(rng)).get();
