@@ -12,9 +12,11 @@ namespace {
 
 namespace fs = std::filesystem;
 
-constexpr const char* kManifestName = "MANIFEST";
 constexpr const char* kCheckpointPrefix = "ckpt.";
-constexpr std::uint32_t kManifestVersion = 1;
+/// Retained `ckpt.<round>` files; older ones are pruned after each save.
+constexpr std::size_t kKeep = 3;
+/// Learning-rate multiplier per rollback (compounded).
+constexpr double kLrDecayOnRollback = 0.5;
 
 /// Parses "ckpt.<round>" → round; nullopt for anything else (including the
 /// ".tmp" leftovers of an interrupted atomic write).
@@ -33,8 +35,6 @@ std::optional<std::int64_t> parse_round(const std::string& filename) {
 CheckpointManager::CheckpointManager(CheckpointConfig config)
     : config_(std::move(config)) {
   MDL_CHECK(!config_.dir.empty(), "checkpoint directory must be non-empty");
-  MDL_CHECK(config_.every_n_rounds > 0, "checkpoint cadence must be > 0");
-  MDL_CHECK(config_.keep > 0, "must retain at least one checkpoint");
   fs::create_directories(config_.dir);
 }
 
@@ -44,74 +44,30 @@ std::string CheckpointManager::path_for_round(std::int64_t round) const {
       .string();
 }
 
-void CheckpointManager::write_manifest(
-    const std::vector<std::int64_t>& rounds) const {
-  save_archive((fs::path(config_.dir) / kManifestName).string(),
-               [&](BinaryWriter& w) {
-                 w.write_u32(kManifestVersion);
-                 w.write_u64(rounds.size());
-                 for (const std::int64_t r : rounds) w.write_i64(r);
-               });
-}
-
 std::vector<std::int64_t> CheckpointManager::list_rounds() const {
   std::vector<std::int64_t> rounds;
-  const std::string manifest = (fs::path(config_.dir) / kManifestName).string();
-  bool from_manifest = false;
-  if (fs::exists(manifest)) {
-    try {
-      load_archive(manifest, [&](BinaryReader& r) {
-        const std::uint32_t version = r.read_u32();
-        MDL_CHECK(version == kManifestVersion,
-                  "unsupported manifest version " << version);
-        const std::uint64_t n = r.read_u64();
-        MDL_CHECK(n <= 1'000'000, "implausible manifest entry count " << n);
-        rounds.reserve(n);
-        for (std::uint64_t i = 0; i < n; ++i)
-          rounds.push_back(r.read_i64());
-      });
-      from_manifest = true;
-    } catch (const Error&) {
-      // Corrupt/torn manifest: fall through to the directory scan.
-      MDL_OBS_COUNTER_ADD("ckpt.manifest_corrupt", 1);
-      rounds.clear();
-    }
-  }
-  if (!from_manifest) {
-    for (const auto& entry : fs::directory_iterator(config_.dir)) {
-      if (!entry.is_regular_file()) continue;
-      if (const auto r = parse_round(entry.path().filename().string()))
-        rounds.push_back(*r);
-    }
+  for (const auto& entry : fs::directory_iterator(config_.dir)) {
+    if (!entry.is_regular_file()) continue;
+    if (const auto r = parse_round(entry.path().filename().string()))
+      rounds.push_back(*r);
   }
   std::sort(rounds.begin(), rounds.end());
-  // The manifest can momentarily disagree with the directory (crash between
-  // the checkpoint write and the manifest write); keep only entries whose
-  // file actually exists.
-  std::erase_if(rounds, [&](std::int64_t r) {
-    return !fs::exists(path_for_round(r));
-  });
   return rounds;
 }
 
-void CheckpointManager::save(std::int64_t round,
-                             const PayloadWriter& payload) {
-  const std::string bytes = encode_archive(payload, config_.compress);
+std::string CheckpointManager::save(std::int64_t round,
+                                    const PayloadWriter& payload) {
+  std::string bytes = encode_archive(payload, config_.compress);
   write_file_atomic(path_for_round(round), bytes);
   MDL_OBS_COUNTER_ADD("ckpt.saves", 1);
   MDL_OBS_COUNTER_ADD("ckpt.bytes_written", bytes.size());
 
-  std::vector<std::int64_t> rounds = list_rounds();
-  if (std::find(rounds.begin(), rounds.end(), round) == rounds.end()) {
-    rounds.push_back(round);
-    std::sort(rounds.begin(), rounds.end());
-  }
-  while (rounds.size() > static_cast<std::size_t>(config_.keep)) {
+  const std::vector<std::int64_t> rounds = list_rounds();
+  for (std::size_t i = 0; i + kKeep < rounds.size(); ++i) {
     std::error_code ec;  // pruning is best effort
-    fs::remove(path_for_round(rounds.front()), ec);
-    rounds.erase(rounds.begin());
+    fs::remove(path_for_round(rounds[i]), ec);
   }
-  write_manifest(rounds);
+  return bytes;
 }
 
 std::optional<std::int64_t> CheckpointManager::load_latest(
@@ -173,10 +129,9 @@ TrainerGuard::Verdict TrainerGuard::end_of_round(
 
   verdict.health = health_.check(loss, params);
   if (verdict.health == Health::kOk) {
-    if (health_.config().enabled || manager_) last_good_ = encode_archive(save);
+    // One encode per healthy round: the archive on disk is the snapshot.
+    last_good_ = manager_ ? manager_->save(round, save) : encode_archive(save);
     last_good_round_ = round;
-    if (manager_ && round % manager_->config().every_n_rounds == 0)
-      manager_->save(round, save);
     return verdict;
   }
 
@@ -188,8 +143,8 @@ TrainerGuard::Verdict TrainerGuard::end_of_round(
   health_.reset();
   verdict.rolled_back = true;
   verdict.resume_round = last_good_round_;
-  verdict.lr_scale = std::pow(health_.config().lr_decay_on_rollback,
-                              static_cast<double>(rollbacks_));
+  verdict.lr_scale =
+      std::pow(kLrDecayOnRollback, static_cast<double>(rollbacks_));
   if (rollbacks_ > health_.config().max_rollbacks) {
     MDL_OBS_COUNTER_ADD("health.gave_up", 1);
     verdict.give_up = true;

@@ -1,17 +1,19 @@
 // Crash-safe rotating checkpoints + the per-trainer robustness harness.
 //
-// CheckpointManager owns one directory of `ckpt.<round>` archives plus a
-// MANIFEST (itself a CRC-framed archive listing the retained rounds). Every
-// write is atomic (temp + fsync + rename), so a SIGKILL at any instant
-// leaves the directory with a loadable prefix of history. load_latest()
-// walks newest→oldest, skipping anything whose CRC or framing fails —
-// the automatic last-good fallback — and only gives up when no retained
-// checkpoint verifies.
+// CheckpointManager owns one directory of `ckpt.<round>` archives, and the
+// directory is its own index: every archive verifies itself (magic, length,
+// CRC), so the retained rounds are simply the `ckpt.<n>` files present.
+// Every write is atomic (temp + fsync + rename + directory fsync), so a
+// SIGKILL at any instant leaves the directory with a loadable prefix of
+// history. load_latest() walks newest→oldest, skipping anything whose CRC
+// or framing fails — the automatic last-good fallback — and only gives up
+// when no retained checkpoint verifies.
 //
 // TrainerGuard bundles the manager with a HealthMonitor and an in-memory
 // last-good snapshot into the round-loop protocol every trainer shares:
 //   begin()        — resume from disk if asked, else snapshot round 0
-//   end_of_round() — health-check, snapshot/persist when healthy, or roll
+//   end_of_round() — health-check, persist + snapshot when healthy (the
+//                    archive written to disk is the snapshot), or roll
 //                    back to the last-good state when tripped
 // State travels as opaque payload callbacks, so the guard works for any
 // trainer that can serialize itself (model, optimizer state, RNG, privacy
@@ -28,14 +30,11 @@
 
 namespace mdl::ckpt {
 
-/// Where/how often a trainer checkpoints. An empty `dir` disables disk
-/// checkpoints (health rollback still works from the in-memory snapshot).
+/// Where a trainer checkpoints. Every healthy round persists. An empty
+/// `dir` disables disk checkpoints (health rollback still works from the
+/// in-memory snapshot).
 struct CheckpointConfig {
   std::string dir;
-  /// Persist every N-th healthy round (1 = every round).
-  std::int64_t every_n_rounds = 1;
-  /// Retained `ckpt.<round>` files; older ones are pruned after each save.
-  std::int64_t keep = 3;
   /// Restore the newest verifiable checkpoint before training.
   bool resume = false;
   /// Store `ckpt.<round>` payloads as BlockCodec streams (archive format
@@ -44,31 +43,28 @@ struct CheckpointConfig {
   bool compress = false;
 };
 
-/// Rotating `ckpt.<round>` + MANIFEST scheme over one directory.
+/// Rotating `ckpt.<round>` scheme over one directory.
 class CheckpointManager {
  public:
   /// Creates `config.dir` (and parents) if missing. Throws on bad config.
   explicit CheckpointManager(CheckpointConfig config);
 
-  /// Atomically writes `ckpt.<round>`, refreshes MANIFEST, prunes beyond
-  /// config.keep.
-  void save(std::int64_t round, const PayloadWriter& payload);
+  /// Atomically writes `ckpt.<round>`, prunes all but the newest three,
+  /// and returns the archive it wrote.
+  std::string save(std::int64_t round, const PayloadWriter& payload);
 
   /// Loads the newest checkpoint that verifies, skipping corrupt/truncated
   /// ones (each skip bumps ckpt.corrupt_skipped). Returns its round, or
   /// nullopt when nothing loadable exists.
   std::optional<std::int64_t> load_latest(const PayloadReader& payload) const;
 
-  /// Rounds with a retained checkpoint file, ascending. Prefers MANIFEST;
-  /// falls back to a directory scan when it is missing or corrupt.
+  /// Rounds with a `ckpt.<round>` file in the directory, ascending.
   std::vector<std::int64_t> list_rounds() const;
 
   const CheckpointConfig& config() const { return config_; }
   std::string path_for_round(std::int64_t round) const;
 
  private:
-  void write_manifest(const std::vector<std::int64_t>& rounds) const;
-
   CheckpointConfig config_;
 };
 
@@ -96,24 +92,21 @@ class TrainerGuard {
     bool give_up = false;
     /// After a rollback: the round training resumes *after*.
     std::int64_t resume_round = 0;
-    /// Learning-rate multiplier the trainer applies after a rollback:
-    /// lr_decay_on_rollback compounded over every rollback so far, so
-    /// repeated trips at the same round replay at strictly smaller rates.
+    /// Learning-rate multiplier the trainer applies after a rollback: 0.5
+    /// compounded over every rollback so far, so repeated trips at the same
+    /// round replay at strictly smaller rates.
     double lr_scale = 1.0;
   };
 
-  /// Health-checks the completed round. Healthy: snapshots state (and
-  /// persists at the configured cadence). Tripped: restores the last-good
-  /// state via `load` and reports how the trainer should continue.
+  /// Health-checks the completed round. Healthy: encodes the state once,
+  /// persists it when checkpointing, and keeps that archive as the
+  /// last-good snapshot. Tripped: restores the last-good state via `load`
+  /// and reports how the trainer should continue.
   Verdict end_of_round(std::int64_t round, std::optional<double> loss,
                        std::span<const float> params,
                        const PayloadWriter& save, const PayloadReader& load);
 
-  bool checkpointing() const { return manager_.has_value(); }
   bool active() const { return manager_.has_value() || health_.config().enabled; }
-  const CheckpointManager* manager() const {
-    return manager_ ? &*manager_ : nullptr;
-  }
   std::int64_t rollbacks() const { return rollbacks_; }
 
  private:

@@ -6,6 +6,12 @@
 #include "obs/metrics.hpp"
 
 namespace mdl::ckpt {
+namespace {
+
+/// EMA smoothing of the loss baseline: ema += alpha * (loss - ema).
+constexpr double kEmaAlpha = 0.3;
+
+}  // namespace
 
 const char* to_string(Health h) {
   switch (h) {
@@ -19,12 +25,7 @@ const char* to_string(Health h) {
 HealthMonitor::HealthMonitor(HealthConfig config) : config_(config) {
   MDL_CHECK(config_.divergence_factor >= 1.0,
             "divergence factor must be >= 1");
-  MDL_CHECK(config_.ema_alpha > 0.0 && config_.ema_alpha <= 1.0,
-            "ema alpha must be in (0, 1]");
   MDL_CHECK(config_.warmup_rounds >= 0, "warmup must be >= 0");
-  MDL_CHECK(config_.lr_decay_on_rollback > 0.0 &&
-                config_.lr_decay_on_rollback <= 1.0,
-            "lr decay must be in (0, 1]");
   MDL_CHECK(config_.max_rollbacks >= 0, "max rollbacks must be >= 0");
 }
 
@@ -49,8 +50,7 @@ Health HealthMonitor::check(std::optional<double> loss,
       MDL_OBS_COUNTER_ADD("health.divergence_trips", 1);
       return Health::kDiverged;
     }
-    ema_ = observed_ == 0 ? *loss
-                          : ema_ + config_.ema_alpha * (*loss - ema_);
+    ema_ = observed_ == 0 ? *loss : ema_ + kEmaAlpha * (*loss - ema_);
     ++observed_;
   }
   return Health::kOk;

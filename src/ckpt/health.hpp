@@ -35,12 +35,6 @@ struct HealthConfig {
   double divergence_slack = 1.0;
   /// EMA observations required before the divergence guard arms.
   std::int64_t warmup_rounds = 5;
-  /// EMA smoothing: ema += alpha * (loss - ema).
-  double ema_alpha = 0.3;
-  /// Learning-rate multiplier applied by the trainer after a rollback
-  /// (1.0 = retry at the same rate; the replay then only differs through
-  /// injected noise, so <1.0 is strongly recommended).
-  double lr_decay_on_rollback = 0.5;
   /// Rollbacks tolerated before the trainer gives up and stops at the
   /// last-good model.
   std::int64_t max_rollbacks = 3;

@@ -42,7 +42,6 @@ FedAvgTrainer::FedAvgTrainer(ModelFactory factory,
             "clients_per_round " << config_.clients_per_round << " vs "
                                  << runner_.population().size() << " clients");
   MDL_CHECK(config_.rounds > 0, "rounds must be positive");
-  MDL_CHECK(config_.agg_shards > 0, "agg_shards must be positive");
 }
 
 FedAvgTrainer::FedAvgTrainer(ModelFactory factory,
@@ -104,14 +103,14 @@ std::vector<RoundStats> FedAvgTrainer::run(const data::TabularDataset& test) {
 
       // Each chunk streams weight * upload into its accumulator as each
       // client finishes, so live memory is O(chunks x model), never
-      // O(cohort x model); with cohort <= agg_shards the chunks are
+      // O(cohort x model); with cohort <= kAggShards the chunks are
       // singletons and the sum is bit-identical to the historical
       // strictly-sequential fold (see DESIGN.md).
       std::vector<double> client_loss(n_clients, 0.0);
       std::vector<std::uint64_t> upload_wire(n_clients, model_raw);
       const std::vector<double> aggregate = runner_.client_pass(
-          round, survivors, static_cast<std::size_t>(config_.agg_shards),
-          w_global.size(), [&](const RoundRunner::Client& client) {
+          round, survivors, kAggShards, w_global.size(),
+          [&](const RoundRunner::Client& client) {
             // Download current global model to the participant.
             nn::unflatten_into_values(w_global, client.params);
             std::vector<float> upload;

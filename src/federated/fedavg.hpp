@@ -36,14 +36,6 @@ struct FedAvgConfig {
   /// Stop once test accuracy reaches this (negative = run all rounds).
   double target_accuracy = -1.0;
   std::uint64_t seed = 7;
-  /// Streaming-aggregation shard count: survivors are partitioned into
-  /// min(cohort, agg_shards) contiguous chunks that fold their uploads into
-  /// private accumulators in parallel, reduced in fixed chunk order. Part
-  /// of the numeric contract — results are bit-identical across thread
-  /// counts for a fixed agg_shards, and identical to the historical
-  /// strictly-sequential sum whenever cohort <= agg_shards. Also caps the
-  /// workspace-model pool (one model + one shard scratch per chunk).
-  std::int64_t agg_shards = 16;
   /// Crash-safe checkpointing (disabled while checkpoint.dir is empty) and
   /// numerical-health rollback for the round loop (ckpt::TrainerGuard).
   ckpt::CheckpointConfig checkpoint;
@@ -90,7 +82,7 @@ class FedAvgTrainer {
   const CommLedger& ledger() const { return runner_.ledger(); }
   std::int64_t model_size() const { return runner_.model_size(); }
   /// Workspace models currently allocated — capped at
-  /// min(cohort, agg_shards), never the population size (tests pin this).
+  /// min(cohort, kAggShards), never the population size (tests pin this).
   std::size_t worker_pool_size() const { return runner_.worker_pool_size(); }
 
  private:

@@ -32,6 +32,15 @@
 
 namespace mdl::federated {
 
+/// Streaming-aggregation shard count for FedAvg and DP-FedAvg: the cohort
+/// is cut into min(cohort, kAggShards) contiguous chunks that fold their
+/// uploads into private accumulators in parallel, reduced in fixed chunk
+/// order. Part of the numeric contract — results are bit-identical across
+/// thread counts, and identical to the strictly-sequential sum whenever
+/// cohort <= kAggShards. Also caps the workspace-model pool (one model +
+/// one shard scratch per chunk).
+inline constexpr std::size_t kAggShards = 16;
+
 class RoundRunner {
  public:
   /// `name` tags checkpoints and prefixes the `<name>.*` metrics;

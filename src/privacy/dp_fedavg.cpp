@@ -45,7 +45,6 @@ DpFedAvgTrainer::DpFedAvgTrainer(
             "client sample probability must be in (0, 1]");
   MDL_CHECK(config_.clip_norm > 0.0, "clip norm must be positive");
   MDL_CHECK(config_.noise_multiplier >= 0.0, "noise multiplier must be >= 0");
-  MDL_CHECK(config_.agg_shards > 0, "agg_shards must be positive");
 }
 
 DpFedAvgTrainer::DpFedAvgTrainer(federated::ModelFactory factory,
@@ -93,13 +92,13 @@ std::vector<DpRoundStats> DpFedAvgTrainer::run(
     const std::size_t n_clients = participants.size();
 
     // Every update is clipped to S (modification 2) and summed into its
-    // chunk's accumulator; with cohort <= agg_shards the sum is the
+    // chunk's accumulator; with cohort <= kAggShards the sum is the
     // sequential one bit for bit.
     std::vector<double> client_loss(n_clients, 0.0);
     std::vector<std::uint64_t> delta_wire(n_clients, model_raw);
     const std::vector<double> update_sum = runner_.client_pass(
-        round, participants, static_cast<std::size_t>(config_.agg_shards),
-        p_count, [&](const federated::RoundRunner::Client& client) {
+        round, participants, federated::kAggShards, p_count,
+        [&](const federated::RoundRunner::Client& client) {
           nn::unflatten_into_values(w_global, client.params);
           client_loss[client.index] = federated::local_sgd(
               client.model, client.shard, config_.local_epochs,

@@ -32,11 +32,6 @@ struct DpFedAvgConfig {
   double noise_multiplier = 1.0;    ///< z
   double delta = 1e-5;
   std::uint64_t seed = 19;
-  /// Streaming-aggregation shard count (see FedAvgConfig::agg_shards): the
-  /// realized cohort folds clipped updates into min(cohort, agg_shards)
-  /// chunk accumulators reduced in fixed order — bit-identical across
-  /// thread counts, and to the sequential sum when cohort <= agg_shards.
-  std::int64_t agg_shards = 16;
   /// Crash-safe checkpointing + health rollback (ckpt::TrainerGuard). The
   /// checkpoint carries the moments accountant, so a resumed run keeps the
   /// spent privacy budget.
@@ -93,7 +88,7 @@ class DpFedAvgTrainer {
   /// did not drop out, each accepted clipped delta, and wasted uplink.
   const federated::CommLedger& ledger() const { return runner_.ledger(); }
   /// Workspace models currently allocated — capped at
-  /// min(cohort, agg_shards), never the population size.
+  /// min(cohort, federated::kAggShards), never the population size.
   std::size_t worker_pool_size() const { return runner_.worker_pool_size(); }
 
  private:

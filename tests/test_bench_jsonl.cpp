@@ -60,7 +60,9 @@ TEST(BenchJsonl, MobileInferenceBenchEmitsValidRecords) {
   EXPECT_EQ(trials, 16);
   // The planner spans/counters land in the trailing metrics snapshot when
   // instrumentation is compiled in.
-  if (obs::kEnabled) EXPECT_GT(metrics, 0);
+  if (obs::kEnabled) {
+    EXPECT_GT(metrics, 0);
+  }
 #endif
 }
 

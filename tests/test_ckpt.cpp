@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -208,10 +209,9 @@ TEST_F(CkptFixture, AtomicWriteLeavesNoTempFile) {
 
 // ------------------------------------------------------ CheckpointManager --
 
-CheckpointConfig make_config(const std::string& dir, std::int64_t keep = 3) {
+CheckpointConfig make_config(const std::string& dir) {
   CheckpointConfig cfg;
   cfg.dir = dir;
-  cfg.keep = keep;
   return cfg;
 }
 
@@ -234,7 +234,7 @@ TEST_F(CkptFixture, SaveLoadRoundTrip) {
 }
 
 TEST_F(CkptFixture, RotationPrunesOldCheckpoints) {
-  CheckpointManager mgr(make_config(dir, 3));
+  CheckpointManager mgr(make_config(dir));
   for (std::int64_t round = 1; round <= 5; ++round)
     mgr.save(round, int_payload(round));
   EXPECT_EQ(mgr.list_rounds(), (std::vector<std::int64_t>{3, 4, 5}));
@@ -307,6 +307,22 @@ TEST_F(CkptFixture, ManifestEntryWithoutFileIsIgnored) {
   EXPECT_EQ(load_int(mgr, &v), std::optional<std::int64_t>(1));
 }
 
+TEST_F(CkptFixture, CheckpointRenamedBeforeCrashIsResumed) {
+  // A kill right after the rename of ckpt.3 (before pruning) leaves a
+  // complete file on disk; the directory alone must make it loadable.
+  CheckpointManager mgr(make_config(dir));
+  mgr.save(1, int_payload(100));
+  mgr.save(2, int_payload(200));
+  write_file_atomic(mgr.path_for_round(3), encode_archive(int_payload(300)));
+
+  std::int64_t v = 0;
+  EXPECT_EQ(load_int(mgr, &v), std::optional<std::int64_t>(3));
+  EXPECT_EQ(v, 300);
+  for (const auto& entry : fs::directory_iterator(dir))
+    EXPECT_EQ(entry.path().filename().string().rfind("ckpt.", 0), 0u)
+        << "unexpected file " << entry.path();
+}
+
 TEST_F(CkptFixture, TempFileLeftoverIsNotACheckpoint) {
   CheckpointManager mgr(make_config(dir));
   mgr.save(1, int_payload(100));
@@ -336,6 +352,39 @@ TEST_F(CkptFixture, WrongTrainerTagRejected) {
                                 read_state_header(r, "fedavg", 4);
                               }),
                Error);
+}
+
+TEST_F(CkptFixture, HealthyRoundRunsPayloadWriterOnce) {
+  // The archive persisted for a healthy round is also the rollback
+  // snapshot, so the payload writer runs once per round, not twice.
+  TrainerGuard guard(make_config(dir), HealthConfig{}, "probe");
+  std::int64_t state = 0;
+  int writes = 0;
+  const PayloadWriter save = [&](BinaryWriter& w) {
+    ++writes;
+    w.write_i64(state);
+  };
+  const PayloadReader load = [&](BinaryReader& r) { state = r.read_i64(); };
+  EXPECT_EQ(guard.begin(save, load), 0);
+  const std::vector<float> params{0.0f};
+  for (std::int64_t round = 1; round <= 4; ++round) {
+    writes = 0;
+    state = round * 10;
+    EXPECT_EQ(guard.end_of_round(round, 1.0, params, save, load).health,
+              Health::kOk);
+    EXPECT_EQ(writes, 1) << "round " << round;
+  }
+  EXPECT_EQ(CheckpointManager(make_config(dir)).list_rounds(),
+            (std::vector<std::int64_t>{2, 3, 4}));
+
+  writes = 0;
+  state = -1;
+  const auto verdict = guard.end_of_round(
+      5, std::numeric_limits<double>::quiet_NaN(), params, save, load);
+  EXPECT_TRUE(verdict.rolled_back);
+  EXPECT_EQ(verdict.resume_round, 4);
+  EXPECT_EQ(state, 40);  // restored from round 4's archive
+  EXPECT_EQ(writes, 0);
 }
 
 // ---------------------------------------------------------- HealthMonitor --
@@ -731,6 +780,53 @@ TEST_F(TrainerFixture, DivergenceRollbackRestoresLastGoodAndDecaysLr) {
   EXPECT_TRUE(saw_rollback);
   for (const float v : nn::flatten_values(trainer.global_model().parameters()))
     EXPECT_TRUE(std::isfinite(v));
+}
+
+TEST_F(TrainerFixture, DivergenceRollbackIsIndependentOfCheckpointing) {
+  // The rollback snapshot is the archive persisted for the last healthy
+  // round (compressed or not) or, without a directory, an in-memory one;
+  // all three must restore the same state.
+  federated::FedAvgConfig cfg;
+  cfg.rounds = 8;
+  cfg.clients_per_round = 3;
+  cfg.local_epochs = 1;
+  cfg.client_lr = 25.0;  // diverges
+  cfg.health.warmup_rounds = 0;
+  cfg.health.divergence_factor = 2.0;
+  cfg.health.max_rollbacks = 2;
+
+  struct Outcome {
+    std::string history;  // serialized, so NaN losses compare bitwise
+    std::vector<float> params;
+  };
+  const auto run = [&](const std::string& ckpt_dir, bool compress) {
+    federated::FedAvgConfig c = cfg;
+    c.checkpoint.dir = ckpt_dir;
+    c.checkpoint.compress = compress;
+    federated::FedAvgTrainer trainer(factory, shards, c);
+    const auto history = trainer.run(test_set);
+    std::ostringstream os;
+    {
+      BinaryWriter w(os);
+      for (const auto& rs : history) federated::serialize_round_stats(w, rs);
+    }
+    bool saw_rollback = false;
+    for (const auto& rs : history) saw_rollback |= rs.rolled_back;
+    EXPECT_TRUE(saw_rollback);
+    return Outcome{os.str(),
+                   nn::flatten_values(trainer.global_model().parameters())};
+  };
+
+  const Outcome memory = run("", false);
+  const Outcome plain = run(dir + "/plain", false);
+  const Outcome packed = run(dir + "/packed", true);
+  EXPECT_EQ(plain.history, memory.history);
+  EXPECT_EQ(packed.history, memory.history);
+  ASSERT_EQ(plain.params.size(), memory.params.size());
+  ASSERT_EQ(packed.params.size(), memory.params.size());
+  const std::size_t bytes = memory.params.size() * sizeof(float);
+  EXPECT_EQ(std::memcmp(plain.params.data(), memory.params.data(), bytes), 0);
+  EXPECT_EQ(std::memcmp(packed.params.data(), memory.params.data(), bytes), 0);
 }
 
 TEST_F(TrainerFixture, SelectiveSgdDivergenceRollbackKeepsParamsFinite) {

@@ -471,10 +471,11 @@ TEST_F(CodecFederatedTest, DpFedAvgCodecKeepsTrainingAndLedgerMatchesCounters) {
   const federated::CommLedger& ledger = faulty.ledger();
   EXPECT_GT(net.counters().bytes_wasted, 0U);
   EXPECT_LT(ledger.bytes_down, ledger.bytes_down_raw);
-  if (obs::kEnabled)
+  if (obs::kEnabled) {
     EXPECT_EQ(ledger.total(),
               (reg.counter("sim.bytes_up_compressed").value() - up0) +
                   (reg.counter("sim.bytes_down_compressed").value() - down0));
+  }
 }
 
 }  // namespace

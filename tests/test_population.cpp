@@ -212,7 +212,9 @@ TEST(PopulationSampling, BernoulliCohortMatchesExpectation) {
     // Sorted, distinct, in range.
     for (std::size_t i = 0; i < cohort.size(); ++i) {
       EXPECT_LT(cohort[i], n);
-      if (i > 0) EXPECT_LT(cohort[i - 1], cohort[i]);
+      if (i > 0) {
+        EXPECT_LT(cohort[i - 1], cohort[i]);
+      }
     }
     total += static_cast<double>(cohort.size());
   }
@@ -333,7 +335,7 @@ TEST_F(PopulationTrainers, DpFedAvgVirtualMatchesMaterialized) {
 }
 
 TEST_F(PopulationTrainers, StreamingAggregatorThreadIdentity) {
-  // Cohort 40 > agg_shards 16 → genuinely multi-client chunks; the chunked
+  // Cohort 40 > kAggShards 16 → genuinely multi-client chunks; the chunked
   // reduction must still be bit-identical between 1 and 8 threads.
   FedAvgConfig cfg;
   cfg.rounds = 3;
@@ -361,7 +363,7 @@ TEST_F(PopulationTrainers, StreamingAggregatorThreadIdentity) {
 TEST_F(PopulationTrainers, DpStreamingAggregatorThreadIdentity) {
   privacy::DpFedAvgConfig cfg;
   cfg.rounds = 2;
-  cfg.client_sample_prob = 0.8;  // realized cohort ~38 > agg_shards
+  cfg.client_sample_prob = 0.8;  // realized cohort ~38 > kAggShards
   cfg.local_epochs = 1;
 
   std::vector<float> serial;
@@ -381,15 +383,14 @@ TEST_F(PopulationTrainers, DpStreamingAggregatorThreadIdentity) {
 TEST_F(PopulationTrainers, WorkerPoolCappedAtChunkCount) {
   FedAvgConfig cfg;
   cfg.rounds = 2;
-  cfg.clients_per_round = 40;  // > agg_shards
+  cfg.clients_per_round = 40;  // > kAggShards
   cfg.local_epochs = 1;
   FedAvgTrainer trainer(factory, pop, cfg);
   trainer.run(test_set);
-  EXPECT_LE(trainer.worker_pool_size(),
-            static_cast<std::size_t>(cfg.agg_shards));
+  EXPECT_LE(trainer.worker_pool_size(), kAggShards);
 
   FedAvgConfig small = cfg;
-  small.clients_per_round = 5;  // < agg_shards: pool caps at the cohort
+  small.clients_per_round = 5;  // < kAggShards: pool caps at the cohort
   FedAvgTrainer small_trainer(factory, pop, small);
   small_trainer.run(test_set);
   EXPECT_LE(small_trainer.worker_pool_size(), 5U);

@@ -47,7 +47,7 @@ TEST(PopulationScale, HundredThousandClientsRunAndRepeat) {
   ASSERT_EQ(ha.size(), 2U);
   EXPECT_EQ(ha.back().clients_delivered, 20);
   // Worker pool scales with the cohort, not the fleet.
-  EXPECT_LE(a.worker_pool_size(), static_cast<std::size_t>(cfg.agg_shards));
+  EXPECT_LE(a.worker_pool_size(), kAggShards);
 
   // Deterministic: a second trainer over the same (seed, population)
   // produces the bit-identical model.

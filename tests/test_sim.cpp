@@ -217,10 +217,12 @@ TEST(SimNetwork, StragglersMissTheDeadline) {
   EXPECT_GT(report.deadline_misses, 0);
   EXPECT_LT(report.delivered, 20);
   // A stale delivery is rejected: its payload is wasted traffic.
-  for (const ClientExchange& ex : report.clients)
+  for (const ClientExchange& ex : report.clients) {
     if (ex.outcome == Outcome::kDeadlineMiss && ex.attempts == 1 &&
-        ex.bytes_wasted > 0)
+        ex.bytes_wasted > 0) {
       EXPECT_EQ(ex.bytes_wasted, 100000U);
+    }
+  }
 }
 
 TEST(SimNetwork, RetriesBackOffThenExhaust) {
