@@ -164,7 +164,7 @@ void BM_LinearInferFloat(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * gemm_flops(batch, width, width));
 }
-BENCHMARK(BM_LinearInferFloat)->ArgsProduct({{256, 512}, {8}});
+BENCHMARK(BM_LinearInferFloat)->ArgsProduct({{256, 512}, {1, 8}});
 
 void BM_LinearInferInt8(benchmark::State& state) {
   const std::int64_t width = state.range(0);
@@ -178,7 +178,7 @@ void BM_LinearInferInt8(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * gemm_flops(batch, width, width));
 }
-BENCHMARK(BM_LinearInferInt8)->ArgsProduct({{256, 512}, {8}});
+BENCHMARK(BM_LinearInferInt8)->ArgsProduct({{256, 512}, {1, 8}});
 
 // GRU::infer at the DeepMood alnum view shape (T=32, I=4, H=16): the
 // per-view encoder cost a serving batch pays.

@@ -172,7 +172,7 @@ echo "kill-and-resume OK: compressed-checkpoint resume byte-identical"
 echo "=== micro_kernels (filtered) ==="
 MDL_QUICK=1 "$BUILD_DIR/bench/micro_kernels" \
   --json "$OUT_DIR/micro_kernels.jsonl" \
-  --benchmark_filter='BM_DenseMatvec|BM_GruStep/1|BM_Int8Gemm/64' \
+  --benchmark_filter='BM_DenseMatvec|BM_GruInfer/1|BM_Int8Gemm/64' \
   --benchmark_min_time=0.01
 
 # Sanitizer pass: rebuild the fast unit tier with ASan+UBSan and run it,

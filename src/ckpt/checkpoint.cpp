@@ -111,6 +111,17 @@ std::int64_t TrainerGuard::begin(const PayloadWriter& save,
       completed = *round;
       MDL_OBS_COUNTER_ADD("ckpt.resumes", 1);
     }
+  } else if (manager_) {
+    // A fresh run owns its directory. An earlier run's higher rounds would
+    // otherwise survive pruning in place of this run's and be what a later
+    // resume restores.
+    for (const std::int64_t r : manager_->list_rounds()) {
+      std::error_code ec;
+      fs::remove(manager_->path_for_round(r), ec);
+      MDL_CHECK(!ec, "cannot remove stale checkpoint "
+                         << manager_->path_for_round(r) << ": "
+                         << ec.message());
+    }
   }
   // Snapshot the (fresh or restored) state so a guard trip on the very
   // first round has something to roll back to.

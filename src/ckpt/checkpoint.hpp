@@ -11,7 +11,9 @@
 //
 // TrainerGuard bundles the manager with a HealthMonitor and an in-memory
 // last-good snapshot into the round-loop protocol every trainer shares:
-//   begin()        — resume from disk if asked, else snapshot round 0
+//   begin()        — resume from disk if asked; else clear the directory's
+//                    ckpt.<round> files (a fresh run owns it) and
+//                    snapshot round 0
 //   end_of_round() — health-check, persist + snapshot when healthy (the
 //                    archive written to disk is the snapshot), or roll
 //                    back to the last-good state when tripped
@@ -78,9 +80,10 @@ class TrainerGuard {
   TrainerGuard(const CheckpointConfig& checkpoint, const HealthConfig& health,
                std::string trainer);
 
-  /// Resumes from disk when configured, then snapshots the (possibly
-  /// restored) state as the initial last-good. Returns the number of
-  /// already-completed rounds (0 on a fresh start).
+  /// Resumes from disk when configured; a fresh run instead removes every
+  /// `ckpt.<round>` file in the directory (other files stay). Then
+  /// snapshots the (possibly restored) state as the initial last-good.
+  /// Returns the number of already-completed rounds (0 on a fresh start).
   std::int64_t begin(const PayloadWriter& save, const PayloadReader& load);
 
   /// Outcome of end_of_round() for the trainer's loop.

@@ -56,9 +56,14 @@ inline constexpr std::int64_t kParallelFlopThreshold = 1LL << 21;
 ///   kBlocked — cache-blocked, register-tiled, thread-parallel scalar
 ///              kernels. Bit-identical to kNaive by construction.
 ///   kSimd    — AVX2+FMA micro-kernels for matmul / matmul_nt /
-///              matmul_nt_acc (other ops fall back to kBlocked). Float
-///              results are ULP-bounded against the scalar chain, never
-///              bit-identical; int8 results are exact.
+///              matmul_nt_acc (other ops fall back to kBlocked). matmul
+///              keeps the ascending-k chain with each term an fma;
+///              matmul_nt runs an 8-lane dot per element (fma over k in
+///              steps of 8, a fixed-tree hsum256, then the k tail as one
+///              fma per term), in 2x4/1x4 register tiles that leave each
+///              element's chain as it is alone. Float results are
+///              ULP-bounded against the scalar chain, never bit-identical;
+///              int8 results are exact.
 ///
 /// Selection: MDL_GEMM=naive|blocked|simd overrides everything (any other
 /// value is a clean mdl::Error at first use). Without the override, a
@@ -115,7 +120,8 @@ void tiled_matvec_acc(const Tensor& a, const Tensor& x, Tensor& out);
 /// out += A @ B, AVX2 broadcast-FMA kernel (ascending-k fma chain).
 void simd_matmul_acc(const Tensor& a, const Tensor& b, Tensor& out);
 
-/// out += A @ B^T for [m,k] x [n,k], AVX2 8-lane dot kernel (no packing).
+/// out += A @ B^T for [m,k] x [n,k], AVX2 register-tiled 8-lane dot kernel
+/// (no packing).
 void simd_matmul_nt_acc(const Tensor& a, const Tensor& b, Tensor& out);
 
 // -- Quantized (int8) GEMM ---------------------------------------------------

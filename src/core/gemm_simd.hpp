@@ -16,8 +16,9 @@
 //     sequence). Differs from the scalar chain only by FMA contraction —
 //     ULP-bounded, pinned by tests/test_gemm_diff.cpp.
 //   - avx2_gemm_nt_rows:  per-element 8-lane dot over k with a fixed-order
-//     horizontal reduction (lane l accumulates terms k ≡ l mod 8), scalar
-//     tail after the reduce.
+//     horizontal reduction (lane l accumulates terms k ≡ l mod 8), then
+//     the k tail as one fma per term. 2x4 and 1x4 register tiles run
+//     several elements' chains side by side without changing any.
 //   - avx2_int8_gemm_nt_rows: exact int32 arithmetic (16-wide madd), so it
 //     must equal the scalar twin bit for bit on every input.
 //

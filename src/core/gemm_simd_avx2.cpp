@@ -19,6 +19,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <cmath>
 
 namespace mdl::gemm::simd {
 
@@ -37,15 +38,32 @@ inline __m256i tail_mask(std::int64_t live) {
   return _mm256_load_si256(reinterpret_cast<const __m256i*>(lanes));
 }
 
+/// Lanes l + l+4 of v, l = 0..3: the first step of hsum256.
+inline __m128 fold_halves(__m256 v) {
+  return _mm_add_ps(_mm256_castps256_ps128(v), _mm256_extractf128_ps(v, 1));
+}
+
 /// Fixed-order horizontal sum: (lo quad + hi quad), then pairwise. Every
-/// dot product in the nt kernel reduces through this exact sequence.
+/// dot product in the nt kernel reduces through this exact sequence, alone
+/// or four at a time (hsum256_x4).
 inline float hsum256(__m256 v) {
-  const __m128 lo = _mm256_castps256_ps128(v);
-  const __m128 hi = _mm256_extractf128_ps(v, 1);
-  __m128 s = _mm_add_ps(lo, hi);              // lanes l + l+4
+  __m128 s = fold_halves(v);                  // lanes l + l+4
   s = _mm_add_ps(s, _mm_movehl_ps(s, s));     // + lanes 2,3
   s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1)); // + lane 1
   return _mm_cvtss_f32(s);
+}
+
+/// hsum256 of four accumulators at once: lane q of the result is
+/// hsum256(sq) bit for bit. Each lane runs hsum256's add tree,
+/// ((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7)); the transpose only
+/// moves lanes, so the four sums share each add instead of reassociating.
+inline __m128 hsum256_x4(__m256 s0, __m256 s1, __m256 s2, __m256 s3) {
+  __m128 t0 = fold_halves(s0);
+  __m128 t1 = fold_halves(s1);
+  __m128 t2 = fold_halves(s2);
+  __m128 t3 = fold_halves(s3);
+  _MM_TRANSPOSE4_PS(t0, t1, t2, t3);  // t_l = lane l of each of s0..s3
+  return _mm_add_ps(_mm_add_ps(t0, t2), _mm_add_ps(t1, t3));
 }
 
 /// One k-block of one C row: crow[j0..j1) gets its [k0,k1) terms as an
@@ -146,8 +164,10 @@ inline void row2_block(const float* arow0, const float* arow1, const float* b,
 }
 
 /// 8-lane strided dot product over k: lane l accumulates terms
-/// k ≡ l (mod 8) by fma, then hsum256, then the scalar k tail. The chain
-/// depends only on k, so batch=1 and batch=N score a row identically.
+/// k ≡ l (mod 8) by fma, then hsum256, then the k tail as one fma per
+/// term. The chain depends only on k, so batch=1 and batch=N score a row
+/// identically. The tail's fma is written out (std::fma) rather than left
+/// to contraction, which GCC -O3 may vectorize into a multiply and an add.
 inline float dot_simd(const float* x, const float* y, std::int64_t k) {
   __m256 acc = _mm256_setzero_ps();
   std::int64_t kk = 0;
@@ -155,8 +175,70 @@ inline float dot_simd(const float* x, const float* y, std::int64_t k) {
     acc = _mm256_fmadd_ps(_mm256_loadu_ps(x + kk), _mm256_loadu_ps(y + kk),
                           acc);
   float total = hsum256(acc);
-  for (; kk < k; ++kk) total += x[kk] * y[kk];
+  for (; kk < k; ++kk) total = std::fma(x[kk], y[kk], total);
   return total;
+}
+
+/// Ends four dot_simd chains that share the A row `x` and run against the
+/// four B rows from `b` (row stride k): hsum256 of each accumulator, the
+/// tail [kk, k) as one fma per term, then c[q] += — dot_simd's sequence
+/// for each element, run in the four lanes of one __m128.
+inline void finish_x4(__m256 s0, __m256 s1, __m256 s2, __m256 s3,
+                      const float* x, const float* b, float* c,
+                      std::int64_t kk, std::int64_t k) {
+  __m128 total = hsum256_x4(s0, s1, s2, s3);
+  for (; kk < k; ++kk)
+    total = _mm_fmadd_ps(
+        _mm_set1_ps(x[kk]),
+        _mm_setr_ps(b[kk], b[k + kk], b[2 * k + kk], b[3 * k + kk]), total);
+  _mm_storeu_ps(c, _mm_add_ps(_mm_loadu_ps(c), total));
+}
+
+/// C[0..1][0..3] += two A rows against four B rows (row stride k): the
+/// eight dot_simd accumulators of a 2x4 block in flight at once, with 6
+/// loads per 8 fmas where one dot_simd needs 2 per fma.
+inline void dot_tile_2x4(const float* a0, const float* a1, const float* b,
+                         float* c0, float* c1, std::int64_t k) {
+  const float* b1 = b + k;
+  const float* b2 = b + 2 * k;
+  const float* b3 = b + 3 * k;
+  __m256 s00 = _mm256_setzero_ps(), s01 = s00, s02 = s00, s03 = s00;
+  __m256 s10 = s00, s11 = s00, s12 = s00, s13 = s00;
+  std::int64_t kk = 0;
+  for (; kk + 8 <= k; kk += 8) {
+    const __m256 x0 = _mm256_loadu_ps(a0 + kk);
+    const __m256 x1 = _mm256_loadu_ps(a1 + kk);
+    __m256 y = _mm256_loadu_ps(b + kk);
+    s00 = _mm256_fmadd_ps(x0, y, s00);
+    s10 = _mm256_fmadd_ps(x1, y, s10);
+    y = _mm256_loadu_ps(b1 + kk);
+    s01 = _mm256_fmadd_ps(x0, y, s01);
+    s11 = _mm256_fmadd_ps(x1, y, s11);
+    y = _mm256_loadu_ps(b2 + kk);
+    s02 = _mm256_fmadd_ps(x0, y, s02);
+    s12 = _mm256_fmadd_ps(x1, y, s12);
+    y = _mm256_loadu_ps(b3 + kk);
+    s03 = _mm256_fmadd_ps(x0, y, s03);
+    s13 = _mm256_fmadd_ps(x1, y, s13);
+  }
+  finish_x4(s00, s01, s02, s03, a0, b, c0, kk, k);
+  finish_x4(s10, s11, s12, s13, a1, b, c1, kk, k);
+}
+
+/// C[0][0..3] += one A row against four B rows: dot_tile_2x4 for a lone
+/// row, four chains in flight.
+inline void dot_tile_1x4(const float* a0, const float* b, float* c0,
+                         std::int64_t k) {
+  __m256 s0 = _mm256_setzero_ps(), s1 = s0, s2 = s0, s3 = s0;
+  std::int64_t kk = 0;
+  for (; kk + 8 <= k; kk += 8) {
+    const __m256 x0 = _mm256_loadu_ps(a0 + kk);
+    s0 = _mm256_fmadd_ps(x0, _mm256_loadu_ps(b + kk), s0);
+    s1 = _mm256_fmadd_ps(x0, _mm256_loadu_ps(b + k + kk), s1);
+    s2 = _mm256_fmadd_ps(x0, _mm256_loadu_ps(b + 2 * k + kk), s2);
+    s3 = _mm256_fmadd_ps(x0, _mm256_loadu_ps(b + 3 * k + kk), s3);
+  }
+  finish_x4(s0, s1, s2, s3, a0, b, c0, kk, k);
 }
 
 /// Exact int32 dot of u8 × s8 rows: 16-wide widening madd, lane reduce,
@@ -204,21 +286,22 @@ void avx2_gemm_rows(const float* a, const float* b, float* c, std::int64_t r0,
 void avx2_gemm_nt_rows(const float* a, const float* b, float* c,
                        std::int64_t r0, std::int64_t r1, std::int64_t k,
                        std::int64_t n) {
-  // Block B rows so four of them stream against each A row from L1/L2; a
-  // j processed in the 4-group and a j processed singly run the identical
-  // per-element chain (independent accumulators), so grouping is free.
-  for (std::int64_t i = r0; i < r1; ++i) {
-    const float* arow = a + i * k;
-    float* crow = c + i * n;
-    std::int64_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      crow[j] += dot_simd(arow, b + j * k, k);
-      crow[j + 1] += dot_simd(arow, b + (j + 1) * k, k);
-      crow[j + 2] += dot_simd(arow, b + (j + 2) * k, k);
-      crow[j + 3] += dot_simd(arow, b + (j + 3) * k, k);
-    }
-    for (; j < n; ++j) crow[j] += dot_simd(arow, b + j * k, k);
-  }
+  // Rows in pairs against groups of four B rows, a lone last row in 1x4
+  // tiles, and the n mod 4 last columns through dot_simd. Every element
+  // runs dot_simd's chain whichever of these it lands in, so grouping,
+  // like sharding, cannot change a bit.
+  const std::int64_t n4 = n - n % 4;
+  std::int64_t i = r0;
+  for (; i + 2 <= r1; i += 2)
+    for (std::int64_t j = 0; j < n4; j += 4)
+      dot_tile_2x4(a + i * k, a + (i + 1) * k, b + j * k, c + i * n + j,
+                   c + (i + 1) * n + j, k);
+  if (i < r1)
+    for (std::int64_t j = 0; j < n4; j += 4)
+      dot_tile_1x4(a + i * k, b + j * k, c + i * n + j, k);
+  for (i = r0; i < r1; ++i)
+    for (std::int64_t j = n4; j < n; ++j)
+      c[i * n + j] += dot_simd(a + i * k, b + j * k, k);
 }
 
 void avx2_int8_gemm_nt_rows(const std::uint8_t* a, const std::int8_t* b,

@@ -556,6 +556,47 @@ TEST_F(TrainerFixture, FedAvgResumeIsBitIdentical) {
   EXPECT_EQ(resumed_history.back(), ref_history.back());
 }
 
+TEST_F(TrainerFixture, FreshRunReplacesAnEarlierRunsCheckpoints) {
+  // A fresh run (no resume) owns its directory: a longer earlier run's
+  // ckpt.<n> files go before its first save, so pruning keeps this run's
+  // rounds and a later resume continues this run. Other files stay.
+  federated::FedAvgConfig cfg;
+  cfg.rounds = 6;
+  cfg.clients_per_round = 3;
+  cfg.local_epochs = 2;
+  cfg.checkpoint.dir = dir;
+  federated::FedAvgTrainer earlier(factory, shards, cfg);
+  earlier.run(test_set);
+  const std::string crash_trace =
+      (fs::path(dir) / "trace.crash.json").string();
+  std::ofstream(crash_trace) << "{}";
+
+  federated::FedAvgConfig fresh = cfg;
+  fresh.rounds = 2;
+  federated::FedAvgTrainer(factory, shards, fresh).run(test_set);
+  EXPECT_EQ(CheckpointManager(make_config(dir)).list_rounds(),
+            (std::vector<std::int64_t>{1, 2}));
+  EXPECT_TRUE(fs::exists(crash_trace));
+
+  federated::FedAvgConfig resumed = cfg;
+  resumed.rounds = 4;
+  resumed.checkpoint.resume = true;
+  federated::FedAvgTrainer part2(factory, shards, resumed);
+  const auto resumed_history = part2.run(test_set);
+
+  federated::FedAvgConfig uninterrupted = cfg;
+  uninterrupted.rounds = 4;
+  uninterrupted.checkpoint.dir.clear();
+  federated::FedAvgTrainer ref(factory, shards, uninterrupted);
+  const auto ref_history = ref.run(test_set);
+
+  EXPECT_EQ(nn::flatten_values(part2.global_model().parameters()),
+            nn::flatten_values(ref.global_model().parameters()));
+  EXPECT_EQ(part2.ledger().bytes_up, ref.ledger().bytes_up);
+  ASSERT_EQ(resumed_history.size(), 2u);  // rounds 3..4
+  EXPECT_EQ(resumed_history.back(), ref_history.back());
+}
+
 TEST_F(TrainerFixture, FedAvgCompressedResumeIsBitIdentical) {
   federated::FedAvgConfig cfg;
   cfg.rounds = 6;

@@ -11,6 +11,9 @@
 //     sum across 8 lanes. Bound: <= kMaxUlp steps, OR an absolute floor of
 //     kCancelSlack * eps * sum_k |a*b| (double-summed magnitude) for
 //     cancellation-dominated elements.
+//   kSimd matmul_nt tiles vs its single dot — bit-identical: the register
+//     tiles run each element's dot chain unchanged, and a [1,1] product
+//     takes the single-dot path.
 //   int8 — exact (EXPECT_EQ): integer addition is associative, so the AVX2
 //     widening-madd kernel must equal the scalar twin bit for bit.
 //
@@ -19,6 +22,7 @@
 // denormal-adjacent magnitudes (1e-38 scale) that stress gradual underflow.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -193,6 +197,53 @@ MDL_PROP_TEST(GemmDiff, SimdBatchInvariance) {
                             sizeof(float)),
                 0)
           << "row " << i << " col " << j;
+  }
+}
+
+MDL_PROP_TEST(GemmDiff, SimdMatmulNtTilesMatchSingleDot) {
+  // The nt kernel runs 2x4 and 1x4 register tiles plus a single-dot path
+  // for the n mod 4 last columns. A [1,1] product always takes the single
+  // dot, so it is the oracle: every element of an [m,n] product, plain or
+  // accumulated into a non-zero out, must equal it bit for bit.
+  if (!cpu::simd_gemm_supported())
+    GTEST_SKIP() << "no AVX2+FMA on this machine/build";
+  PoolGuard pool;
+  set_shared_pool_threads(prop::pick(rng, {1L, 2L, 8L}));
+  const std::int64_t m = prop::gen_int(rng, 1, 9);
+  const std::int64_t n =
+      4 * prop::gen_int(rng, 1, 5) + prop::gen_int(rng, -1, 1);
+  const std::int64_t k =
+      prop::pick(rng, {0L, 1L, 2L, 3L, 4L, 5L, 6L, 7L, 8L, 9L, 15L, 16L, 17L,
+                       255L, 256L, 257L, 513L});
+  const Tensor a = prop::gen_tensor(rng, {m, k});
+  const Tensor bt = prop::gen_tensor(rng, {n, k});
+  const Tensor out0 = prop::gen_tensor(rng, {m, n});
+  ModeGuard guard;
+  gemm::set_mode(gemm::Mode::kSimd);
+  const Tensor plain = matmul_nt(a, bt);
+  Tensor acc = out0;
+  matmul_nt_acc(a, bt, acc);
+  Tensor row({1, k});
+  Tensor col({1, k});
+  for (std::int64_t i = 0; i < m; ++i) {
+    std::copy(a.data() + i * k, a.data() + (i + 1) * k, row.data());
+    for (std::int64_t j = 0; j < n; ++j) {
+      std::copy(bt.data() + j * k, bt.data() + (j + 1) * k, col.data());
+      const Tensor want_plain = matmul_nt(row, col);
+      Tensor want_acc({1, 1});
+      want_acc[0] = out0[i * n + j];
+      matmul_nt_acc(row, col, want_acc);
+      ASSERT_EQ(std::memcmp(plain.data() + i * n + j, want_plain.data(),
+                            sizeof(float)),
+                0)
+          << "matmul_nt [" << m << "," << k << "]x[" << n << "," << k
+          << "]^T element (" << i << "," << j << ")";
+      ASSERT_EQ(std::memcmp(acc.data() + i * n + j, want_acc.data(),
+                            sizeof(float)),
+                0)
+          << "matmul_nt_acc [" << m << "," << k << "]x[" << n << "," << k
+          << "]^T element (" << i << "," << j << ")";
+    }
   }
 }
 
