@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <limits>
 #include <mutex>
 #include <vector>
 
@@ -16,6 +17,18 @@
 namespace mdl::gemm {
 
 namespace {
+
+// Tile sizes. kKc * kNc floats of B (128 KiB) stay L2-resident across a row
+// panel; a C row segment (kNc floats) stays in L1 while its k-block runs.
+constexpr std::int64_t kPanelRows = 32;  ///< rows per parallel shard
+constexpr std::int64_t kKc = 256;        ///< k-block (macro kernel)
+constexpr std::int64_t kNc = 128;        ///< j-block (macro kernel)
+
+/// FLOP count (2*m*k*n) at and above which the blocked path is used.
+constexpr std::int64_t kBlockFlopThreshold = 1LL << 18;
+/// FLOP count at and above which row panels are sharded across the shared
+/// pool. Below it, even the blocked path runs on the calling thread.
+constexpr std::int64_t kParallelFlopThreshold = 1LL << 21;
 
 /// Resolved kernel mode; -1 = not yet resolved. Resolution is lazy (first
 /// mode() call) rather than static-init so an invalid MDL_GEMM value can
@@ -141,6 +154,31 @@ void gemm_rows(const float* pa, const float* pb, float* po, std::int64_t r0,
   }
 }
 
+/// The shared pool when a product of `flops` over rows [0, m) clears the
+/// parallel threshold and spans more than one row panel, else nullptr.
+ThreadPool* pool_for(std::int64_t m, std::int64_t flops) {
+  const std::int64_t panels = (m + kPanelRows - 1) / kPanelRows;
+  return flops >= kParallelFlopThreshold && panels > 1 ? shared_pool()
+                                                       : nullptr;
+}
+
+/// Runs `body(row0, row1)` over [0, m): inline when `pool` is null, else one
+/// kPanelRows panel per pool task. Rows are independent in every kernel here
+/// and each is computed start to finish by one worker, so sharding never
+/// touches the arithmetic.
+template <typename Body>
+void shard_rows(ThreadPool* pool, std::int64_t m, const Body& body) {
+  if (pool == nullptr) {
+    body(0, m);
+    return;
+  }
+  const std::int64_t panels = (m + kPanelRows - 1) / kPanelRows;
+  parallel_for(pool, static_cast<std::size_t>(panels), [&](std::size_t p) {
+    const std::int64_t row0 = static_cast<std::int64_t>(p) * kPanelRows;
+    body(row0, std::min(m, row0 + kPanelRows));
+  });
+}
+
 // C += A @ B on raw row-major buffers, with threshold dispatch: tiny shapes
 // run a direct loop (no blocking/dispatch overhead on GRU-step latency),
 // mid shapes run the blocked kernel on the calling thread, large shapes
@@ -154,19 +192,14 @@ void gemm_dispatch(const float* pa, const float* pb, float* po, std::int64_t m,
       micro_1row(pa + i * k, pb, po + i * n, 0, k, 0, n, n);
     return;
   }
-  const std::int64_t panels = (m + kPanelRows - 1) / kPanelRows;
-  ThreadPool* pool =
-      flops >= kParallelFlopThreshold && panels > 1 ? shared_pool() : nullptr;
+  ThreadPool* pool = pool_for(m, flops);
   if (pool == nullptr) {
     MDL_OBS_COUNTER_ADD("gemm.blocked_calls", 1);
-    gemm_rows(pa, pb, po, 0, m, k, n);
-    return;
+  } else {
+    MDL_OBS_COUNTER_ADD("gemm.parallel_calls", 1);
   }
-  MDL_OBS_COUNTER_ADD("gemm.parallel_calls", 1);
-  parallel_for(pool, static_cast<std::size_t>(panels), [&](std::size_t p) {
-    const std::int64_t row0 = static_cast<std::int64_t>(p) * kPanelRows;
-    const std::int64_t row1 = std::min(m, row0 + kPanelRows);
-    gemm_rows(pa, pb, po, row0, row1, k, n);
+  shard_rows(pool, m, [&](std::int64_t r0, std::int64_t r1) {
+    gemm_rows(pa, pb, po, r0, r1, k, n);
   });
 }
 
@@ -180,14 +213,138 @@ std::vector<float> pack_transpose(const float* src, std::int64_t rows,
   return dst;
 }
 
-void check_matmul_shapes(const Tensor& a, const Tensor& b, const Tensor& out,
-                         std::int64_t m, std::int64_t k, std::int64_t n,
-                         const char* name) {
-  MDL_CHECK(a.ndim() == 2 && b.ndim() == 2 && out.ndim() == 2 &&
-                out.shape(0) == m && out.shape(1) == n,
-            "" << name << " shape mismatch " << a.shape_str() << " x "
-               << b.shape_str() << " -> " << out.shape_str());
-  (void)k;
+/// Extents of one product, C[m,n] (+)= A[m,k] x B[k,n] up to layout.
+struct Dims {
+  std::int64_t m, k, n;
+};
+
+/// Operand layouts: A @ B, A^T @ B, A @ B^T, and A @ x (1-D x and out, n = 1).
+enum class Op { kNN, kTN, kNT, kMatvec };
+
+/// The one shape check of a product call; returns its extents.
+Dims checked_dims(Op op, const Tensor& a, const Tensor& b, const Tensor& out) {
+  static constexpr const char* kNames[] = {"matmul_acc", "matmul_tn_acc",
+                                           "matmul_nt_acc", "matvec"};
+  const bool vec = op == Op::kMatvec;
+  const std::size_t rank = vec ? 1 : 2;  // of b and out
+  bool ok = a.ndim() == 2 && b.ndim() == rank && out.ndim() == rank;
+  Dims d{0, 0, 1};
+  if (ok) {
+    const std::size_t ak = op == Op::kTN ? 0 : 1;  // the k axis of a
+    const std::size_t bk = op == Op::kNT ? 1 : 0;  // the k axis of b
+    d.m = a.shape(1 - ak);
+    d.k = a.shape(ak);
+    if (!vec) d.n = b.shape(1 - bk);
+    ok = b.shape(bk) == d.k && out.shape(0) == d.m &&
+         (vec || out.shape(1) == d.n);
+  }
+  MDL_CHECK(ok, "" << kNames[static_cast<int>(op)] << " shape mismatch "
+                   << a.shape_str() << " x " << b.shape_str() << " -> "
+                   << out.shape_str());
+  return d;
+}
+
+// -- The canonical scalar chains ---------------------------------------------
+// One loop nest per product over the C row slab [r0, r1): kNaive runs them
+// over all rows, and the blocked suite runs them for its tiny _tn/_nt
+// shapes, its matvec and its int8 product.
+
+void nn_rows(const float* pa, const float* pb, float* po, std::int64_t r0,
+             std::int64_t r1, Dims d) {
+  // i-k-j loop order: streams through B and C rows, cache friendly. No
+  // zero-skip branch — sparse weights go through compress::pruned_matmul.
+  for (std::int64_t i = r0; i < r1; ++i) {
+    float* crow = po + i * d.n;
+    for (std::int64_t kk = 0; kk < d.k; ++kk) {
+      const float aik = pa[i * d.k + kk];
+      const float* brow = pb + kk * d.n;
+      for (std::int64_t j = 0; j < d.n; ++j) crow[j] += aik * brow[j];
+    }
+  }
+}
+
+void tn_rows(const float* pa, const float* pb, float* po, std::int64_t r0,
+             std::int64_t r1, Dims d) {
+  // kk-outer order streams A and B rows with no transpose pack; per output
+  // element the terms still arrive in ascending-k order, so this matches
+  // the i-k-j chain.
+  for (std::int64_t kk = 0; kk < d.k; ++kk) {
+    const float* arow = pa + kk * d.m;
+    const float* brow = pb + kk * d.n;
+    for (std::int64_t i = r0; i < r1; ++i) {
+      const float aik = arow[i];
+      float* crow = po + i * d.n;
+      for (std::int64_t j = 0; j < d.n; ++j) crow[j] += aik * brow[j];
+    }
+  }
+}
+
+/// Also matvec: x is a B of one row, and out a C of one column.
+void nt_rows(const float* pa, const float* pb, float* po, std::int64_t r0,
+             std::int64_t r1, Dims d) {
+  // Both operands are row-major along k: one dot per element, no pack.
+  for (std::int64_t i = r0; i < r1; ++i) {
+    const float* arow = pa + i * d.k;
+    for (std::int64_t j = 0; j < d.n; ++j) {
+      const float* brow = pb + j * d.k;
+      float acc = po[i * d.n + j];
+      for (std::int64_t kk = 0; kk < d.k; ++kk) acc += arow[kk] * brow[kk];
+      po[i * d.n + j] = acc;
+    }
+  }
+}
+
+void int8_rows(const std::uint8_t* a, const std::int8_t* b, std::int32_t* out,
+               std::int64_t r0, std::int64_t r1, std::int64_t k,
+               std::int64_t n, const std::int32_t* za,
+               const std::int32_t* b_rowsum) {
+  for (std::int64_t i = r0; i < r1; ++i) {
+    const std::uint8_t* arow = a + i * k;
+    std::int32_t* crow = out + i * n;
+    const std::int32_t zai = za != nullptr ? za[i] : 0;
+    for (std::int64_t j = 0; j < n; ++j) {
+      const std::int8_t* brow = b + j * k;
+      std::int32_t acc = 0;
+      for (std::int64_t kk = 0; kk < k; ++kk)
+        acc += static_cast<std::int32_t>(arow[kk]) *
+               static_cast<std::int32_t>(brow[kk]);
+      if (za != nullptr) acc -= zai * b_rowsum[j];
+      crow[j] = acc;
+    }
+  }
+}
+
+/// Max k for the int8 kernels. The largest term is 255 * -128 = -32640, so
+/// k such terms stay within the exact int32 accumulator while
+/// 32640 * k <= INT32_MAX. With zero points the result is
+/// sum_k (a - za) * b, bounded by the same terms.
+constexpr std::int64_t kInt8MaxK =
+    std::numeric_limits<std::int32_t>::max() / (255 * 128);
+static_assert(kInt8MaxK == 65793);
+
+void check_int8(std::int64_t k, const std::int32_t* za,
+                const std::int32_t* b_rowsum) {
+  MDL_CHECK(k >= 0 && k <= kInt8MaxK,
+            "int8_gemm_nt k=" << k << " exceeds the int32-exact bound "
+                              << kInt8MaxK);
+  MDL_CHECK(za == nullptr || b_rowsum != nullptr,
+            "int8_gemm_nt needs b_rowsum when zero points are supplied");
+}
+
+using SimdRowKernel = void (*)(const float*, const float*, float*,
+                               std::int64_t, std::int64_t, std::int64_t,
+                               std::int64_t);
+
+/// The SIMD suite: one AVX2 row-slab kernel over every row. No small-shape
+/// scalar fallback: the SIMD chain must be the chain for every shape, or a
+/// row's bits would depend on the batch it rides in.
+void simd_product(SimdRowKernel kernel, const float* pa, const float* pb,
+                  float* po, Dims d) {
+  MDL_OBS_COUNTER_ADD("gemm.simd_calls", 1);
+  shard_rows(pool_for(d.m, 2 * d.m * d.k * d.n), d.m,
+             [&](std::int64_t r0, std::int64_t r1) {
+               kernel(pa, pb, po, r0, r1, d.k, d.n);
+             });
 }
 
 }  // namespace
@@ -243,297 +400,128 @@ void set_mode(Mode m) {
   g_mode.store(static_cast<int>(m), std::memory_order_relaxed);
 }
 
+
 const char* kernel_name() { return mode_name(mode()); }
-
-void tiled_matmul_acc(const Tensor& a, const Tensor& b, Tensor& out) {
-  const std::int64_t m = a.shape(0);
-  const std::int64_t k = a.shape(1);
-  const std::int64_t n = b.shape(1);
-  MDL_CHECK(b.shape(0) == k, "matmul_acc inner dimension mismatch");
-  check_matmul_shapes(a, b, out, m, k, n, "matmul_acc");
-  gemm_dispatch(a.data(), b.data(), out.data(), m, k, n);
-}
-
-void tiled_matmul_tn_acc(const Tensor& a, const Tensor& b, Tensor& out) {
-  const std::int64_t k = a.shape(0);
-  const std::int64_t m = a.shape(1);
-  const std::int64_t n = b.shape(1);
-  MDL_CHECK(b.shape(0) == k, "matmul_tn inner dimension mismatch");
-  check_matmul_shapes(a, b, out, m, k, n, "matmul_tn");
-  if (2 * m * k * n < kBlockFlopThreshold) {
-    // Tiny shapes: direct kk-outer loop, no transpose packing (the pack
-    // allocation dominates GRU/LSTM-step latency). Per element the terms
-    // still arrive in ascending-k order — same chain as the packed path.
-    const float* pa = a.data();
-    const float* pb = b.data();
-    float* po = out.data();
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const float* arow = pa + kk * m;
-      const float* brow = pb + kk * n;
-      for (std::int64_t i = 0; i < m; ++i) {
-        const float aik = arow[i];
-        float* crow = po + i * n;
-        for (std::int64_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
-      }
-    }
-    return;
-  }
-  const std::vector<float> at = pack_transpose(a.data(), k, m);
-  gemm_dispatch(at.data(), b.data(), out.data(), m, k, n);
-}
-
-void tiled_matmul_nt_acc(const Tensor& a, const Tensor& b, Tensor& out) {
-  const std::int64_t m = a.shape(0);
-  const std::int64_t k = a.shape(1);
-  const std::int64_t n = b.shape(0);
-  MDL_CHECK(b.shape(1) == k, "matmul_nt inner dimension mismatch");
-  check_matmul_shapes(a, b, out, m, k, n, "matmul_nt");
-  if (2 * m * k * n < kBlockFlopThreshold) {
-    // Tiny shapes: both operands are row-major along k, so the dot form is
-    // already cache-friendly — skip the transpose packing entirely. One
-    // scalar chain per element, ascending k: identical bits.
-    const float* pa = a.data();
-    const float* pb = b.data();
-    float* po = out.data();
-    for (std::int64_t i = 0; i < m; ++i) {
-      const float* arow = pa + i * k;
-      for (std::int64_t j = 0; j < n; ++j) {
-        const float* brow = pb + j * k;
-        float acc = po[i * n + j];
-        for (std::int64_t kk = 0; kk < k; ++kk) acc += arow[kk] * brow[kk];
-        po[i * n + j] = acc;
-      }
-    }
-    return;
-  }
-  const std::vector<float> bt = pack_transpose(b.data(), n, k);
-  gemm_dispatch(a.data(), bt.data(), out.data(), m, k, n);
-}
-
-void tiled_matvec_acc(const Tensor& a, const Tensor& x, Tensor& out) {
-  const std::int64_t m = a.shape(0);
-  const std::int64_t k = a.shape(1);
-  MDL_CHECK(a.ndim() == 2 && x.ndim() == 1 && x.shape(0) == k &&
-                out.ndim() == 1 && out.shape(0) == m,
-            "matvec shape mismatch " << a.shape_str() << " x "
-                                     << x.shape_str());
-  const float* pa = a.data();
-  const float* px = x.data();
-  float* po = out.data();
-  // One dot product per row: a single scalar chain per output element, so
-  // row sharding is trivially exact.
-  const auto rows = [&](std::int64_t row0, std::int64_t row1) {
-    for (std::int64_t i = row0; i < row1; ++i) {
-      const float* arow = pa + i * k;
-      float acc = po[i];
-      for (std::int64_t kk = 0; kk < k; ++kk) acc += arow[kk] * px[kk];
-      po[i] = acc;
-    }
-  };
-  const std::int64_t flops = 2 * m * k;
-  const std::int64_t panels = (m + kPanelRows - 1) / kPanelRows;
-  ThreadPool* pool =
-      flops >= kParallelFlopThreshold && panels > 1 ? shared_pool() : nullptr;
-  if (pool == nullptr) {
-    rows(0, m);
-    return;
-  }
-  parallel_for(pool, static_cast<std::size_t>(panels), [&](std::size_t p) {
-    const std::int64_t row0 = static_cast<std::int64_t>(p) * kPanelRows;
-    rows(row0, std::min(m, row0 + kPanelRows));
-  });
-}
-
-namespace {
-
-/// Shards [0, m) row panels of `body(row0, row1)` across the shared pool
-/// when `flops` clears the parallel threshold; otherwise runs inline. Used
-/// by the SIMD and int8 paths — rows are independent in every kernel here,
-/// so sharding never touches the arithmetic.
-template <typename Body>
-void shard_rows(std::int64_t m, std::int64_t flops, const Body& body) {
-  const std::int64_t panels = (m + kPanelRows - 1) / kPanelRows;
-  ThreadPool* pool =
-      flops >= kParallelFlopThreshold && panels > 1 ? shared_pool() : nullptr;
-  if (pool == nullptr) {
-    body(0, m);
-    return;
-  }
-  parallel_for(pool, static_cast<std::size_t>(panels), [&](std::size_t p) {
-    const std::int64_t row0 = static_cast<std::int64_t>(p) * kPanelRows;
-    body(row0, std::min(m, row0 + kPanelRows));
-  });
-}
-
-}  // namespace
-
-void simd_matmul_acc(const Tensor& a, const Tensor& b, Tensor& out) {
-  const std::int64_t m = a.shape(0);
-  const std::int64_t k = a.shape(1);
-  const std::int64_t n = b.shape(1);
-  MDL_CHECK(b.shape(0) == k, "matmul_acc inner dimension mismatch");
-  check_matmul_shapes(a, b, out, m, k, n, "matmul_acc");
-  MDL_OBS_COUNTER_ADD("gemm.simd_calls", 1);
-  // No small-shape scalar fallback: the SIMD chain must be the chain for
-  // every shape, or a row's bits would depend on the batch it rides in.
-  shard_rows(m, 2 * m * k * n, [&](std::int64_t r0, std::int64_t r1) {
-    simd::avx2_gemm_rows(a.data(), b.data(), out.data(), r0, r1, k, n);
-  });
-}
-
-void simd_matmul_nt_acc(const Tensor& a, const Tensor& b, Tensor& out) {
-  const std::int64_t m = a.shape(0);
-  const std::int64_t k = a.shape(1);
-  const std::int64_t n = b.shape(0);
-  MDL_CHECK(b.shape(1) == k, "matmul_nt inner dimension mismatch");
-  check_matmul_shapes(a, b, out, m, k, n, "matmul_nt");
-  MDL_OBS_COUNTER_ADD("gemm.simd_calls", 1);
-  shard_rows(m, 2 * m * k * n, [&](std::int64_t r0, std::int64_t r1) {
-    simd::avx2_gemm_nt_rows(a.data(), b.data(), out.data(), r0, r1, k, n);
-  });
-}
-
-/// Max k for the int8 kernels: 255*127*k must stay below INT32_MAX so the
-/// exact int32 accumulator cannot overflow.
-static constexpr std::int64_t kInt8MaxK = 66051;
 
 void int8_gemm_nt(const std::uint8_t* a, const std::int8_t* b,
                   std::int32_t* out, std::int64_t m, std::int64_t k,
                   std::int64_t n, const std::int32_t* za,
                   const std::int32_t* b_rowsum) {
-  MDL_CHECK(k >= 0 && k <= kInt8MaxK,
-            "int8_gemm_nt k=" << k << " exceeds the int32-exact bound "
-                              << kInt8MaxK);
-  MDL_CHECK(za == nullptr || b_rowsum != nullptr,
-            "int8_gemm_nt needs b_rowsum when zero points are supplied");
+  check_int8(k, za, b_rowsum);
   const bool use_simd = mode() == Mode::kSimd;
-  shard_rows(m, 2 * m * k * n, [&](std::int64_t r0, std::int64_t r1) {
-    if (use_simd) {
-      simd::avx2_int8_gemm_nt_rows(a, b, out, r0, r1, k, n, za, b_rowsum);
-      return;
-    }
-    for (std::int64_t i = r0; i < r1; ++i) {
-      const std::uint8_t* arow = a + i * k;
-      std::int32_t* crow = out + i * n;
-      const std::int32_t zai = za != nullptr ? za[i] : 0;
-      for (std::int64_t j = 0; j < n; ++j) {
-        const std::int8_t* brow = b + j * k;
-        std::int32_t acc = 0;
-        for (std::int64_t kk = 0; kk < k; ++kk)
-          acc += static_cast<std::int32_t>(arow[kk]) *
-                 static_cast<std::int32_t>(brow[kk]);
-        if (za != nullptr) acc -= zai * b_rowsum[j];
-        crow[j] = acc;
-      }
-    }
-  });
+  shard_rows(pool_for(m, 2 * m * k * n), m,
+             [&](std::int64_t r0, std::int64_t r1) {
+               if (use_simd)
+                 simd::avx2_int8_gemm_nt_rows(a, b, out, r0, r1, k, n, za,
+                                              b_rowsum);
+               else
+                 int8_rows(a, b, out, r0, r1, k, n, za, b_rowsum);
+             });
 }
 
 namespace reference {
 
 void matmul_acc(const Tensor& a, const Tensor& b, Tensor& out) {
-  const std::int64_t m = a.shape(0);
-  const std::int64_t k = a.shape(1);
-  const std::int64_t n = b.shape(1);
-  MDL_CHECK(b.shape(0) == k, "matmul_acc inner dimension mismatch");
-  check_matmul_shapes(a, b, out, m, k, n, "matmul_acc");
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out.data();
-  // i-k-j loop order: streams through B and C rows, cache friendly. No
-  // zero-skip branch — sparse weights go through compress::pruned_matmul.
-  for (std::int64_t i = 0; i < m; ++i) {
-    float* crow = po + i * n;
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const float aik = pa[i * k + kk];
-      const float* brow = pb + kk * n;
-      for (std::int64_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
-    }
-  }
+  const Dims d = checked_dims(Op::kNN, a, b, out);
+  nn_rows(a.data(), b.data(), out.data(), 0, d.m, d);
 }
 
 void matmul_tn_acc(const Tensor& a, const Tensor& b, Tensor& out) {
-  const std::int64_t k = a.shape(0);
-  const std::int64_t m = a.shape(1);
-  const std::int64_t n = b.shape(1);
-  MDL_CHECK(b.shape(0) == k, "matmul_tn inner dimension mismatch");
-  check_matmul_shapes(a, b, out, m, k, n, "matmul_tn");
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out.data();
-  // kk-outer order streams A and B rows; per output element the terms
-  // still arrive in ascending-k order, so this matches the i-k-j chain.
-  for (std::int64_t kk = 0; kk < k; ++kk) {
-    const float* arow = pa + kk * m;
-    const float* brow = pb + kk * n;
-    for (std::int64_t i = 0; i < m; ++i) {
-      const float aik = arow[i];
-      float* crow = po + i * n;
-      for (std::int64_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
-    }
-  }
+  const Dims d = checked_dims(Op::kTN, a, b, out);
+  tn_rows(a.data(), b.data(), out.data(), 0, d.m, d);
 }
 
 void matmul_nt_acc(const Tensor& a, const Tensor& b, Tensor& out) {
-  const std::int64_t m = a.shape(0);
-  const std::int64_t k = a.shape(1);
-  const std::int64_t n = b.shape(0);
-  MDL_CHECK(b.shape(1) == k, "matmul_nt inner dimension mismatch");
-  check_matmul_shapes(a, b, out, m, k, n, "matmul_nt");
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out.data();
-  for (std::int64_t i = 0; i < m; ++i) {
-    const float* arow = pa + i * k;
-    for (std::int64_t j = 0; j < n; ++j) {
-      const float* brow = pb + j * k;
-      float acc = po[i * n + j];
-      for (std::int64_t kk = 0; kk < k; ++kk) acc += arow[kk] * brow[kk];
-      po[i * n + j] = acc;
-    }
-  }
+  const Dims d = checked_dims(Op::kNT, a, b, out);
+  nt_rows(a.data(), b.data(), out.data(), 0, d.m, d);
 }
 
 void matvec_acc(const Tensor& a, const Tensor& x, Tensor& out) {
-  const std::int64_t m = a.shape(0);
-  const std::int64_t k = a.shape(1);
-  MDL_CHECK(a.ndim() == 2 && x.ndim() == 1 && x.shape(0) == k &&
-                out.ndim() == 1 && out.shape(0) == m,
-            "matvec shape mismatch " << a.shape_str() << " x "
-                                     << x.shape_str());
-  const float* pa = a.data();
-  const float* px = x.data();
-  float* po = out.data();
-  for (std::int64_t i = 0; i < m; ++i) {
-    const float* arow = pa + i * k;
-    float acc = po[i];
-    for (std::int64_t kk = 0; kk < k; ++kk) acc += arow[kk] * px[kk];
-    po[i] = acc;
-  }
+  const Dims d = checked_dims(Op::kMatvec, a, x, out);
+  nt_rows(a.data(), x.data(), out.data(), 0, d.m, d);
 }
 
 void int8_gemm_nt(const std::uint8_t* a, const std::int8_t* b,
                   std::int32_t* out, std::int64_t m, std::int64_t k,
                   std::int64_t n, const std::int32_t* za,
                   const std::int32_t* b_rowsum) {
-  MDL_CHECK(za == nullptr || b_rowsum != nullptr,
-            "int8_gemm_nt needs b_rowsum when zero points are supplied");
-  for (std::int64_t i = 0; i < m; ++i) {
-    const std::uint8_t* arow = a + i * k;
-    std::int32_t* crow = out + i * n;
-    const std::int32_t zai = za != nullptr ? za[i] : 0;
-    for (std::int64_t j = 0; j < n; ++j) {
-      const std::int8_t* brow = b + j * k;
-      std::int32_t acc = 0;
-      for (std::int64_t kk = 0; kk < k; ++kk)
-        acc += static_cast<std::int32_t>(arow[kk]) *
-               static_cast<std::int32_t>(brow[kk]);
-      if (za != nullptr) acc -= zai * b_rowsum[j];
-      crow[j] = acc;
-    }
-  }
+  check_int8(k, za, b_rowsum);
+  int8_rows(a, b, out, 0, m, k, n, za, b_rowsum);
 }
 
 }  // namespace reference
 
 }  // namespace mdl::gemm
+
+// The public dense products (tensor.hpp): each checks its shapes once, then
+// picks the suite for the current gemm::mode(). This is the one place a
+// suite is chosen.
+namespace mdl {
+
+void matmul_acc(const Tensor& a, const Tensor& b, Tensor& out) {
+  const gemm::Dims d = gemm::checked_dims(gemm::Op::kNN, a, b, out);
+  switch (gemm::mode()) {
+    case gemm::Mode::kNaive:
+      gemm::nn_rows(a.data(), b.data(), out.data(), 0, d.m, d);
+      break;
+    case gemm::Mode::kSimd:
+      gemm::simd_product(gemm::simd::avx2_gemm_rows, a.data(), b.data(),
+                         out.data(), d);
+      break;
+    case gemm::Mode::kBlocked:
+      gemm::gemm_dispatch(a.data(), b.data(), out.data(), d.m, d.k, d.n);
+      break;
+  }
+}
+
+void matmul_tn_acc(const Tensor& a, const Tensor& b, Tensor& out) {
+  const gemm::Dims d = gemm::checked_dims(gemm::Op::kTN, a, b, out);
+  // No SIMD kernel for _tn (a training-only path): kSimd runs the blocked
+  // suite. Its tiny shapes skip the transpose pack, whose allocation would
+  // dominate GRU/LSTM-step latency.
+  if (gemm::mode() == gemm::Mode::kNaive ||
+      2 * d.m * d.k * d.n < gemm::kBlockFlopThreshold) {
+    gemm::tn_rows(a.data(), b.data(), out.data(), 0, d.m, d);
+    return;
+  }
+  const std::vector<float> at = gemm::pack_transpose(a.data(), d.k, d.m);
+  gemm::gemm_dispatch(at.data(), b.data(), out.data(), d.m, d.k, d.n);
+}
+
+void matmul_nt_acc(const Tensor& a, const Tensor& b, Tensor& out) {
+  const gemm::Dims d = gemm::checked_dims(gemm::Op::kNT, a, b, out);
+  const gemm::Mode mode = gemm::mode();
+  if (mode == gemm::Mode::kSimd) {
+    gemm::simd_product(gemm::simd::avx2_gemm_nt_rows, a.data(), b.data(),
+                       out.data(), d);
+    return;
+  }
+  if (mode == gemm::Mode::kNaive ||
+      2 * d.m * d.k * d.n < gemm::kBlockFlopThreshold) {
+    gemm::nt_rows(a.data(), b.data(), out.data(), 0, d.m, d);
+    return;
+  }
+  const std::vector<float> bt = gemm::pack_transpose(b.data(), d.n, d.k);
+  gemm::gemm_dispatch(a.data(), bt.data(), out.data(), d.m, d.k, d.n);
+}
+
+Tensor matvec(const Tensor& a, const Tensor& x) {
+  Tensor out({a.shape(0)});
+  const gemm::Dims d = gemm::checked_dims(gemm::Op::kMatvec, a, x, out);
+  // One dot per row, already a single scalar chain, so kSimd runs the
+  // blocked path (vectorizing the dot would change the serve/replay chain
+  // for no measured win at these widths), which shards rows; kNaive runs
+  // them serially.
+  const float* pa = a.data();
+  const float* px = x.data();
+  float* po = out.data();
+  ThreadPool* pool = gemm::mode() == gemm::Mode::kNaive
+                         ? nullptr
+                         : gemm::pool_for(d.m, 2 * d.m * d.k);
+  gemm::shard_rows(pool, d.m, [&](std::int64_t r0, std::int64_t r1) {
+    gemm::nt_rows(pa, px, po, r0, r1, d);
+  });
+  return out;
+}
+
+}  // namespace mdl

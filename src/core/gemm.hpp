@@ -1,10 +1,15 @@
 // Blocked, register-tiled, thread-parallel dense GEMM kernels.
 //
 // Every dense product in mobiledl (matmul / matmul_acc / matmul_tn /
-// matmul_nt / matvec) funnels into the kernels declared here. The design is
-// constrained by the library's determinism guarantees (mdl::sim replay and
-// mdl::ckpt resume are bit-identity tests): results must not depend on the
-// thread count or on whether the blocked or the naive path ran.
+// matmul_nt / matvec, declared in tensor.hpp) runs on the kernels in
+// gemm.cpp. The _acc forms and matvec are defined there too: each checks
+// its shapes once and picks the kernel suite for the current mode(), the
+// one place in the library where a suite is chosen. The suites themselves
+// are file-local; this header exports the mode API, the int8 product and
+// the reference oracle. The design is constrained by the library's
+// determinism guarantees (mdl::sim replay and mdl::ckpt resume are
+// bit-identity tests): results must not depend on the thread count or on
+// whether the blocked or the naive path ran.
 //
 // Accumulation policy (the library-wide contract, see DESIGN.md):
 //   every output element is a single float32 accumulation chain over
@@ -26,8 +31,8 @@
 // tests/test_gemm.cpp equivalence suite enforces this at 1/2/8 threads).
 //
 // Shapes below the blocking threshold take a direct serial loop (same
-// chain) so small recurrent steps (GRU/LSTM gates) pay no tiling or
-// dispatch overhead.
+// chain; for _tn, _nt and matvec it is the reference loop itself) so small
+// recurrent steps (GRU/LSTM gates) pay no tiling or dispatch overhead.
 #pragma once
 
 #include <cstdint>
@@ -36,18 +41,6 @@
 #include "core/tensor.hpp"
 
 namespace mdl::gemm {
-
-// Tile sizes. kKc * kNc floats of B (128 KiB) stay L2-resident across a row
-// panel; a C row segment (kNc floats) stays in L1 while its k-block runs.
-inline constexpr std::int64_t kPanelRows = 32;  ///< rows per parallel shard
-inline constexpr std::int64_t kKc = 256;        ///< k-block (macro kernel)
-inline constexpr std::int64_t kNc = 128;        ///< j-block (macro kernel)
-
-/// FLOP count (2*m*k*n) at and above which the blocked path is used.
-inline constexpr std::int64_t kBlockFlopThreshold = 1LL << 18;
-/// FLOP count at and above which row panels are sharded across the shared
-/// pool. Below it, even the blocked path runs on the calling thread.
-inline constexpr std::int64_t kParallelFlopThreshold = 1LL << 21;
 
 /// Kernel selector. Three suites sit behind the public entry points:
 ///
@@ -89,41 +82,6 @@ Mode resolve_mode(const char* env_value);
 const char* kernel_name();
 const char* mode_name(Mode m);
 
-// -- Blocked kernels ---------------------------------------------------------
-// Direct entry points (no threshold dispatch) used by the public tensor ops
-// and by the equivalence tests. All require pre-shaped outputs and
-// *accumulate* into them.
-
-/// out += A @ B for [m,k] x [k,n]; blocked and, above the parallel
-/// threshold, sharded over row panels of the shared pool.
-void tiled_matmul_acc(const Tensor& a, const Tensor& b, Tensor& out);
-
-/// out += A^T @ B for [k,m] x [k,n] (packs A^T, then runs the blocked
-/// kernel; the packing copy is exact so the accumulation chain is
-/// unchanged).
-void tiled_matmul_tn_acc(const Tensor& a, const Tensor& b, Tensor& out);
-
-/// out += A @ B^T for [m,k] x [n,k] (packs B^T, then runs the blocked
-/// kernel).
-void tiled_matmul_nt_acc(const Tensor& a, const Tensor& b, Tensor& out);
-
-/// out += A @ x for [m,k] x [k]; row-sharded above the parallel threshold.
-void tiled_matvec_acc(const Tensor& a, const Tensor& x, Tensor& out);
-
-// -- SIMD kernels ------------------------------------------------------------
-// AVX2+FMA entry points (require cpu::simd_gemm_supported()). Unlike the
-// blocked suite there is no small-shape scalar fallback: every shape runs
-// the same per-element chain, so a row's bits cannot depend on the batch
-// it rides in (the mdl::serve batching invariant). Row panels shard across
-// the shared pool above the parallel flop threshold.
-
-/// out += A @ B, AVX2 broadcast-FMA kernel (ascending-k fma chain).
-void simd_matmul_acc(const Tensor& a, const Tensor& b, Tensor& out);
-
-/// out += A @ B^T for [m,k] x [n,k], AVX2 register-tiled 8-lane dot kernel
-/// (no packing).
-void simd_matmul_nt_acc(const Tensor& a, const Tensor& b, Tensor& out);
-
 // -- Quantized (int8) GEMM ---------------------------------------------------
 // Row-major u8 × s8 -> int32 with per-row zero-point correction:
 //
@@ -135,7 +93,8 @@ void simd_matmul_nt_acc(const Tensor& a, const Tensor& b, Tensor& out);
 // precompute it once per weight). All arithmetic is exact int32 — the AVX2
 // path (mode kSimd) must equal the scalar reference bit for bit, and the
 // differential harness enforces exact equality, not a tolerance. k is
-// limited to 66051 (255*127*k must fit int32); checked.
+// limited to 65793: the largest term is 255 * -128, and 32640*k must fit
+// int32. Both this and the reference twin throw beyond it.
 void int8_gemm_nt(const std::uint8_t* a, const std::int8_t* b,
                   std::int32_t* out, std::int64_t m, std::int64_t k,
                   std::int64_t n, const std::int32_t* za,
@@ -144,8 +103,9 @@ void int8_gemm_nt(const std::uint8_t* a, const std::int8_t* b,
 // -- Reference kernels -------------------------------------------------------
 // The retained naive loops that define the canonical accumulation order.
 // Serial, unblocked, branch-free inner loops. The equivalence suite compares
-// the tiled kernels against these bit for bit; MDL_GEMM=naive serves them
-// as the public kernels (the "before" baseline for perf evidence).
+// the public ops under the blocked suite against these bit for bit;
+// MDL_GEMM=naive runs the same loops behind the public ops (the "before"
+// baseline for perf evidence).
 namespace reference {
 
 void matmul_acc(const Tensor& a, const Tensor& b, Tensor& out);

@@ -6,8 +6,6 @@
 #include <ostream>
 #include <sstream>
 
-#include "core/gemm.hpp"
-
 namespace mdl {
 namespace {
 
@@ -441,85 +439,24 @@ std::ostream& operator<<(std::ostream& os, const Tensor& t) {
   return os << '}';
 }
 
-// The dense products below all route through mdl::gemm — blocked,
-// register-tiled, thread-parallel kernels bit-identical to the retained
-// naive reference at every thread count (see gemm.hpp for the accumulation
-// policy and the determinism argument). MDL_GEMM=naive swaps in the
-// reference loops at runtime for A/B benchmarking.
+// The allocating products. Their _acc forms and matvec live next to the
+// kernels in gemm.cpp, which checks the shapes and picks the kernel suite.
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
-  MDL_CHECK(a.ndim() == 2 && b.ndim() == 2 && a.shape(1) == b.shape(0),
-            "matmul shape mismatch " << a.shape_str() << " x "
-                                     << b.shape_str());
   Tensor out({a.shape(0), b.shape(1)});
   matmul_acc(a, b, out);
   return out;
 }
 
-void matmul_acc(const Tensor& a, const Tensor& b, Tensor& out) {
-  MDL_CHECK(a.ndim() == 2 && b.ndim() == 2 && a.shape(1) == b.shape(0),
-            "matmul_acc shape mismatch " << a.shape_str() << " x "
-                                         << b.shape_str());
-  switch (gemm::mode()) {
-    case gemm::Mode::kNaive: gemm::reference::matmul_acc(a, b, out); break;
-    case gemm::Mode::kSimd: gemm::simd_matmul_acc(a, b, out); break;
-    case gemm::Mode::kBlocked: gemm::tiled_matmul_acc(a, b, out); break;
-  }
-}
-
 Tensor matmul_tn(const Tensor& a, const Tensor& b) {
-  MDL_CHECK(a.ndim() == 2 && b.ndim() == 2 && a.shape(0) == b.shape(0),
-            "matmul_tn shape mismatch " << a.shape_str() << " x "
-                                        << b.shape_str());
   Tensor out({a.shape(1), b.shape(1)});
   matmul_tn_acc(a, b, out);
   return out;
 }
 
-void matmul_tn_acc(const Tensor& a, const Tensor& b, Tensor& out) {
-  MDL_CHECK(a.ndim() == 2 && b.ndim() == 2 && a.shape(0) == b.shape(0),
-            "matmul_tn_acc shape mismatch " << a.shape_str() << " x "
-                                            << b.shape_str());
-  // No dedicated SIMD kernel for _tn (a training-only path); kSimd falls
-  // back to the blocked scalar suite.
-  if (gemm::mode() == gemm::Mode::kNaive)
-    gemm::reference::matmul_tn_acc(a, b, out);
-  else
-    gemm::tiled_matmul_tn_acc(a, b, out);
-}
-
 Tensor matmul_nt(const Tensor& a, const Tensor& b) {
-  MDL_CHECK(a.ndim() == 2 && b.ndim() == 2 && a.shape(1) == b.shape(1),
-            "matmul_nt shape mismatch " << a.shape_str() << " x "
-                                        << b.shape_str());
   Tensor out({a.shape(0), b.shape(0)});
   matmul_nt_acc(a, b, out);
-  return out;
-}
-
-void matmul_nt_acc(const Tensor& a, const Tensor& b, Tensor& out) {
-  MDL_CHECK(a.ndim() == 2 && b.ndim() == 2 && a.shape(1) == b.shape(1),
-            "matmul_nt_acc shape mismatch " << a.shape_str() << " x "
-                                            << b.shape_str());
-  switch (gemm::mode()) {
-    case gemm::Mode::kNaive: gemm::reference::matmul_nt_acc(a, b, out); break;
-    case gemm::Mode::kSimd: gemm::simd_matmul_nt_acc(a, b, out); break;
-    case gemm::Mode::kBlocked: gemm::tiled_matmul_nt_acc(a, b, out); break;
-  }
-}
-
-Tensor matvec(const Tensor& a, const Tensor& x) {
-  MDL_CHECK(a.ndim() == 2 && x.ndim() == 1 && a.shape(1) == x.shape(0),
-            "matvec shape mismatch " << a.shape_str() << " x "
-                                     << x.shape_str());
-  Tensor out({a.shape(0)});
-  // matvec has one scalar chain per output row already; kSimd uses the
-  // blocked path (vectorizing the dot would change the serve/replay chain
-  // for no measured win at these widths).
-  if (gemm::mode() == gemm::Mode::kNaive)
-    gemm::reference::matvec_acc(a, x, out);
-  else
-    gemm::tiled_matvec_acc(a, x, out);
   return out;
 }
 

@@ -167,10 +167,11 @@ std::ostream& operator<<(std::ostream& os, const Tensor& t);
 // -- Linear algebra free functions -------------------------------------------
 //
 // All dense products share one accumulation policy (see gemm.hpp and
-// DESIGN.md): float32, ascending-k, one multiply-add per term. They are
-// backed by the mdl::gemm kernel suites (MDL_GEMM=naive|blocked|simd; the
-// default probes the CPU). naive and blocked are bit-identical to each
-// other at every thread count (MDL_THREADS); the AVX2 simd suite is
+// DESIGN.md): float32, ascending-k, one multiply-add per term. The _acc
+// forms and matvec are defined in core/gemm.cpp, which checks each call's
+// shapes once and picks the mdl::gemm kernel suite (MDL_GEMM=naive|blocked|
+// simd; the default probes the CPU). naive and blocked are bit-identical to
+// each other at every thread count (MDL_THREADS); the AVX2 simd suite is
 // deterministic and batch-invariant but ULP-shifted (fma). Dense kernels
 // carry no zero-skip branch; pruned weights should use
 // compress::pruned_matmul or a CsrMatrix.

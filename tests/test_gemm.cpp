@@ -1,7 +1,8 @@
 // Kernel-equivalence suite for the blocked/parallel GEMM kernels.
 //
-// The contract under test (gemm.hpp): the tiled kernels produce output
-// BIT-IDENTICAL to the retained naive reference, at every thread count.
+// The contract under test (gemm.hpp): the public ops under the blocked
+// suite produce output BIT-IDENTICAL to the retained naive reference, at
+// every thread count.
 // This is what lets the deterministic-replay (mdl::sim) and checkpoint
 // bit-identity (mdl::ckpt) guarantees survive the parallel kernels.
 #include "core/gemm.hpp"
@@ -36,6 +37,16 @@ struct PoolGuard {
   std::size_t saved;
 };
 
+/// Restores the kernel mode on scope exit; optionally switches it for the
+/// scope. The equivalence tests below run the public ops under kBlocked,
+/// the suite they compare with the reference.
+struct ModeGuard {
+  ModeGuard() = default;
+  explicit ModeGuard(gemm::Mode m) { gemm::set_mode(m); }
+  ~ModeGuard() { gemm::set_mode(saved); }
+  gemm::Mode saved = gemm::mode();
+};
+
 // The sweep: odd sizes, tall/skinny, 1xN, Nx1, and tile-boundary +-1 around
 // the panel (32), KC (256) and NC (128) edges; the last entries exceed the
 // blocking and parallel flop thresholds so the tiled/parallel paths engage.
@@ -55,6 +66,7 @@ class GemmEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(GemmEquivalence, MatmulBitIdenticalToReference) {
   PoolGuard guard;
+  ModeGuard blocked(gemm::Mode::kBlocked);
   set_shared_pool_threads(static_cast<std::size_t>(GetParam()));
   Rng rng(42);
   for (const Shape& s : shapes()) {
@@ -63,7 +75,7 @@ TEST_P(GemmEquivalence, MatmulBitIdenticalToReference) {
     Tensor want({s.m, s.n});
     gemm::reference::matmul_acc(a, b, want);
     Tensor got({s.m, s.n});
-    gemm::tiled_matmul_acc(a, b, got);
+    matmul_acc(a, b, got);
     EXPECT_TRUE(bit_identical(want, got))
         << "matmul " << s.m << "x" << s.k << "x" << s.n << " at "
         << GetParam() << " threads";
@@ -72,6 +84,7 @@ TEST_P(GemmEquivalence, MatmulBitIdenticalToReference) {
 
 TEST_P(GemmEquivalence, MatmulAccAccumulatesIntoExisting) {
   PoolGuard guard;
+  ModeGuard blocked(gemm::Mode::kBlocked);
   set_shared_pool_threads(static_cast<std::size_t>(GetParam()));
   Rng rng(43);
   for (const Shape& s : shapes()) {
@@ -80,7 +93,7 @@ TEST_P(GemmEquivalence, MatmulAccAccumulatesIntoExisting) {
     Tensor want = Tensor::randn({s.m, s.n}, rng);
     Tensor got = want;
     gemm::reference::matmul_acc(a, b, want);
-    gemm::tiled_matmul_acc(a, b, got);
+    matmul_acc(a, b, got);
     EXPECT_TRUE(bit_identical(want, got))
         << "matmul_acc " << s.m << "x" << s.k << "x" << s.n;
   }
@@ -88,6 +101,7 @@ TEST_P(GemmEquivalence, MatmulAccAccumulatesIntoExisting) {
 
 TEST_P(GemmEquivalence, MatmulTnBitIdenticalToReference) {
   PoolGuard guard;
+  ModeGuard blocked(gemm::Mode::kBlocked);
   set_shared_pool_threads(static_cast<std::size_t>(GetParam()));
   Rng rng(44);
   for (const Shape& s : shapes()) {
@@ -96,7 +110,7 @@ TEST_P(GemmEquivalence, MatmulTnBitIdenticalToReference) {
     Tensor want({s.m, s.n});
     gemm::reference::matmul_tn_acc(a, b, want);
     Tensor got({s.m, s.n});
-    gemm::tiled_matmul_tn_acc(a, b, got);
+    matmul_tn_acc(a, b, got);
     EXPECT_TRUE(bit_identical(want, got))
         << "matmul_tn " << s.m << "x" << s.k << "x" << s.n;
   }
@@ -104,6 +118,7 @@ TEST_P(GemmEquivalence, MatmulTnBitIdenticalToReference) {
 
 TEST_P(GemmEquivalence, MatmulNtBitIdenticalToReference) {
   PoolGuard guard;
+  ModeGuard blocked(gemm::Mode::kBlocked);
   set_shared_pool_threads(static_cast<std::size_t>(GetParam()));
   Rng rng(45);
   for (const Shape& s : shapes()) {
@@ -112,7 +127,7 @@ TEST_P(GemmEquivalence, MatmulNtBitIdenticalToReference) {
     Tensor want({s.m, s.n});
     gemm::reference::matmul_nt_acc(a, b, want);
     Tensor got({s.m, s.n});
-    gemm::tiled_matmul_nt_acc(a, b, got);
+    matmul_nt_acc(a, b, got);
     EXPECT_TRUE(bit_identical(want, got))
         << "matmul_nt " << s.m << "x" << s.k << "x" << s.n;
   }
@@ -120,6 +135,7 @@ TEST_P(GemmEquivalence, MatmulNtBitIdenticalToReference) {
 
 TEST_P(GemmEquivalence, MatvecBitIdenticalToReference) {
   PoolGuard guard;
+  ModeGuard blocked(gemm::Mode::kBlocked);
   set_shared_pool_threads(static_cast<std::size_t>(GetParam()));
   Rng rng(46);
   for (const Shape& s : shapes()) {
@@ -127,8 +143,7 @@ TEST_P(GemmEquivalence, MatvecBitIdenticalToReference) {
     const Tensor x = Tensor::randn({s.k}, rng);
     Tensor want({s.m});
     gemm::reference::matvec_acc(a, x, want);
-    Tensor got({s.m});
-    gemm::tiled_matvec_acc(a, x, got);
+    const Tensor got = matvec(a, x);
     EXPECT_TRUE(bit_identical(want, got)) << "matvec " << s.m << "x" << s.k;
   }
 }
@@ -140,6 +155,7 @@ TEST(Gemm, ThreadCountsAgreeWithEachOther) {
   // Directly pins the cross-thread-count guarantee: the same product at 1,
   // 2, and 8 threads yields byte-identical buffers.
   PoolGuard guard;
+  ModeGuard blocked(gemm::Mode::kBlocked);
   Rng rng(47);
   const Tensor a = Tensor::randn({130, 270}, rng);
   const Tensor b = Tensor::randn({270, 140}, rng);
@@ -147,7 +163,7 @@ TEST(Gemm, ThreadCountsAgreeWithEachOther) {
   for (const std::size_t threads : {1UL, 2UL, 8UL}) {
     set_shared_pool_threads(threads);
     Tensor out({130, 140});
-    gemm::tiled_matmul_acc(a, b, out);
+    matmul_acc(a, b, out);
     results.push_back(std::move(out));
   }
   EXPECT_TRUE(bit_identical(results[0], results[1]));
@@ -189,29 +205,24 @@ TEST(Gemm, PublicKernelsMatchReferenceModes) {
 
 TEST(Gemm, ZeroExtentShapes) {
   PoolGuard guard;
+  ModeGuard blocked(gemm::Mode::kBlocked);
   set_shared_pool_threads(2);
   const Tensor a({0, 5});
   const Tensor b({5, 0});
   Tensor out({0, 0});
-  gemm::tiled_matmul_acc(a, Tensor({5, 0}), out);  // no crash, no write
+  matmul_acc(a, Tensor({5, 0}), out);  // no crash, no write
   EXPECT_EQ(out.size(), 0);
   (void)b;
 }
 
 TEST(Gemm, ShapeMismatchThrows) {
+  ModeGuard blocked(gemm::Mode::kBlocked);
   Tensor out({2, 2});
-  EXPECT_THROW(
-      gemm::tiled_matmul_acc(Tensor({2, 3}), Tensor({4, 2}), out), Error);
-  EXPECT_THROW(
-      gemm::tiled_matmul_acc(Tensor({2, 4}), Tensor({4, 3}), out), Error);
+  EXPECT_THROW(matmul_acc(Tensor({2, 3}), Tensor({4, 2}), out), Error);
+  EXPECT_THROW(matmul_acc(Tensor({2, 4}), Tensor({4, 3}), out), Error);
 }
 
 // ----------------------------------------------------------- dispatch
-
-struct ModeGuard {
-  gemm::Mode saved = gemm::mode();
-  ~ModeGuard() { gemm::set_mode(saved); }
-};
 
 TEST(GemmDispatch, ParseModeAcceptsKnownValuesAndAliases) {
   EXPECT_EQ(gemm::parse_mode("naive"), gemm::Mode::kNaive);
@@ -286,6 +297,41 @@ TEST(GemmDispatch, SelectionIsLoggedExactlyOnce) {
   gemm::resolve_mode("naive");
   gemm::resolve_mode("blocked");
   EXPECT_EQ(counter_value(), first);
+}
+
+TEST(GemmDispatch, SimdRunsBlockedTnAndMatvec) {
+  // matmul_tn and matvec have no SIMD kernel: under kSimd they run the
+  // blocked suite and give its bits, at tiny and at sharded shapes alike.
+  if (!cpu::simd_gemm_supported())
+    GTEST_SKIP() << "no AVX2+FMA on this machine/build";
+  PoolGuard pool;
+  set_shared_pool_threads(4);
+  Rng rng(49);
+  for (const Shape& s : shapes()) {
+    const Tensor at = Tensor::randn({s.k, s.m}, rng);
+    const Tensor b = Tensor::randn({s.k, s.n}, rng);
+    const Tensor a = Tensor::randn({s.m, s.k}, rng);
+    const Tensor x = Tensor::randn({s.k}, rng);
+    const Tensor out0 = Tensor::randn({s.m, s.n}, rng);
+    Tensor want_acc = out0;
+    Tensor got_acc = out0;
+    Tensor want_tn;
+    Tensor want_mv;
+    {
+      ModeGuard blocked(gemm::Mode::kBlocked);
+      want_tn = matmul_tn(at, b);
+      matmul_tn_acc(at, b, want_acc);
+      want_mv = matvec(a, x);
+    }
+    ModeGuard simd(gemm::Mode::kSimd);
+    EXPECT_TRUE(bit_identical(matmul_tn(at, b), want_tn))
+        << "matmul_tn " << s.m << "x" << s.k << "x" << s.n;
+    matmul_tn_acc(at, b, got_acc);
+    EXPECT_TRUE(bit_identical(got_acc, want_acc))
+        << "matmul_tn_acc " << s.m << "x" << s.k << "x" << s.n;
+    EXPECT_TRUE(bit_identical(matvec(a, x), want_mv))
+        << "matvec " << s.m << "x" << s.k;
+  }
 }
 
 TEST(GemmDispatch, KernelNameTracksMode) {

@@ -354,5 +354,48 @@ TEST(GemmDiff, Int8KTooLargeThrows) {
       Error);
 }
 
+TEST(GemmDiff, Int8ExtremesAtTheKBound) {
+  // The worst int8 term is 255 * -128 = -32640; 65793 of them is the
+  // longest sum an int32 holds, so k = 65793 must be exact in every suite
+  // (without and with zero points) and k = 65794 must throw.
+  constexpr std::int64_t kMax = 65793;
+  std::vector<std::uint8_t> a(static_cast<std::size_t>(kMax + 1), 255);
+  std::vector<std::int8_t> b(static_cast<std::size_t>(kMax + 1), -128);
+  const std::int32_t za = 255;
+  std::int32_t rowsum = 0;
+  std::int64_t want_plain = 0;
+  std::int64_t want_zp = 0;
+  for (std::int64_t kk = 0; kk < kMax; ++kk) {
+    const std::size_t i = static_cast<std::size_t>(kk);
+    rowsum += b[i];
+    want_plain += std::int64_t{a[i]} * b[i];
+    want_zp += (std::int64_t{a[i]} - za) * b[i];
+  }
+  for (const gemm::Mode mode :
+       {gemm::Mode::kNaive, gemm::Mode::kBlocked, gemm::Mode::kSimd}) {
+    if (mode == gemm::Mode::kSimd && !cpu::simd_gemm_supported()) continue;
+    ModeGuard guard;
+    gemm::set_mode(mode);
+    std::int32_t out = 1;
+    gemm::int8_gemm_nt(a.data(), b.data(), &out, 1, kMax, 1, nullptr,
+                       nullptr);
+    EXPECT_EQ(out, want_plain) << gemm::mode_name(mode);
+    gemm::int8_gemm_nt(a.data(), b.data(), &out, 1, kMax, 1, &za, &rowsum);
+    EXPECT_EQ(out, want_zp) << gemm::mode_name(mode) << " with zero point";
+    EXPECT_THROW(gemm::int8_gemm_nt(a.data(), b.data(), &out, 1, kMax + 1, 1,
+                                    nullptr, nullptr),
+                 Error)
+        << gemm::mode_name(mode);
+  }
+  std::int32_t out = 1;
+  gemm::reference::int8_gemm_nt(a.data(), b.data(), &out, 1, kMax, 1, nullptr,
+                                nullptr);
+  EXPECT_EQ(out, want_plain) << "reference";
+  EXPECT_THROW(gemm::reference::int8_gemm_nt(a.data(), b.data(), &out, 1,
+                                             kMax + 1, 1, nullptr, nullptr),
+               Error)
+      << "reference";
+}
+
 }  // namespace
 }  // namespace mdl
