@@ -78,96 +78,20 @@ MDL_TRACE_OUT="$OUT_DIR/trace.json" \
 python3 scripts/trace_report.py --check "$OUT_DIR/trace.json"
 python3 scripts/trace_report.py "$OUT_DIR/trace.json"
 
-# Kill-and-resume: SIGKILL a checkpointing FedAvg run mid-training, resume
-# it in a fresh process, and require the final model to be byte-identical
-# to an uninterrupted run — the mdl::ckpt end-to-end guarantee.
-echo "=== kill-and-resume (mdl::ckpt) ==="
+# Kill-and-resume (mdl::ckpt): plain checkpoints, the O(cohort)
+# virtual-population path (shards are re-derived from (population_seed,
+# client_id) after the resume, so this also exercises the checkpoint's
+# population-fingerprint guard), and BlockCodec-compressed (format v2)
+# checkpoints, where the resume decodes the v2 archive before a single
+# payload byte is interpreted.
 RUNNER="$BUILD_DIR/tests/ckpt_resume_runner"
-CKPT_ROOT="$BUILD_DIR/smoke-ckpt"
-rm -rf "$CKPT_ROOT"
-mkdir -p "$CKPT_ROOT"
-"$RUNNER" --rounds 6 --seed 17 --out "$CKPT_ROOT/ref.bin"
-"$RUNNER" --rounds 6 --seed 17 --out "$CKPT_ROOT/killed.bin" \
-  --checkpoint-dir "$CKPT_ROOT/ckpt" --sleep-ms 300 &
-RUNNER_PID=$!
-for _ in $(seq 1 600); do
-  compgen -G "$CKPT_ROOT/ckpt/ckpt.*" > /dev/null && break
-  sleep 0.05
-done
-compgen -G "$CKPT_ROOT/ckpt/ckpt.*" > /dev/null || {
-  echo "error: no checkpoint appeared before the kill" >&2
-  exit 1
-}
-kill -9 "$RUNNER_PID"
-wait "$RUNNER_PID" || true
-[[ ! -f "$CKPT_ROOT/killed.bin" ]] || {
-  echo "error: killed run finished before SIGKILL landed" >&2
-  exit 1
-}
-"$RUNNER" --rounds 6 --seed 17 --out "$CKPT_ROOT/resumed.bin" \
-  --checkpoint-dir "$CKPT_ROOT/ckpt" --resume
-cmp "$CKPT_ROOT/ref.bin" "$CKPT_ROOT/resumed.bin"
-echo "kill-and-resume OK: resumed model byte-identical to uninterrupted run"
-
-# Same crash-safety contract on the O(cohort) virtual-population path:
-# shards are re-derived from (population_seed, client_id) after the resume,
-# so this also exercises the checkpoint's population-fingerprint guard.
+echo "=== kill-and-resume (mdl::ckpt) ==="
+scripts/kill_resume.sh "$RUNNER" "$BUILD_DIR/smoke-ckpt"
 echo "=== kill-and-resume (virtual population) ==="
-VCKPT_ROOT="$BUILD_DIR/smoke-ckpt-virtual"
-rm -rf "$VCKPT_ROOT"
-mkdir -p "$VCKPT_ROOT"
-"$RUNNER" --rounds 6 --seed 17 --virtual 1000 --out "$VCKPT_ROOT/ref.bin"
-"$RUNNER" --rounds 6 --seed 17 --virtual 1000 --out "$VCKPT_ROOT/killed.bin" \
-  --checkpoint-dir "$VCKPT_ROOT/ckpt" --sleep-ms 300 &
-RUNNER_PID=$!
-for _ in $(seq 1 600); do
-  compgen -G "$VCKPT_ROOT/ckpt/ckpt.*" > /dev/null && break
-  sleep 0.05
-done
-compgen -G "$VCKPT_ROOT/ckpt/ckpt.*" > /dev/null || {
-  echo "error: no checkpoint appeared before the kill (virtual)" >&2
-  exit 1
-}
-kill -9 "$RUNNER_PID"
-wait "$RUNNER_PID" || true
-[[ ! -f "$VCKPT_ROOT/killed.bin" ]] || {
-  echo "error: killed virtual run finished before SIGKILL landed" >&2
-  exit 1
-}
-"$RUNNER" --rounds 6 --seed 17 --virtual 1000 --out "$VCKPT_ROOT/resumed.bin" \
-  --checkpoint-dir "$VCKPT_ROOT/ckpt" --resume
-cmp "$VCKPT_ROOT/ref.bin" "$VCKPT_ROOT/resumed.bin"
-echo "kill-and-resume OK: virtual-population resume byte-identical"
-
-# Same contract again with BlockCodec-compressed (format v2) checkpoints:
-# the kill lands between a compressed save and the finish, and the resume
-# decodes the v2 archive before a single payload byte is interpreted.
+scripts/kill_resume.sh "$RUNNER" "$BUILD_DIR/smoke-ckpt-virtual" --virtual 1000
 echo "=== kill-and-resume (compressed checkpoints) ==="
-ZCKPT_ROOT="$BUILD_DIR/smoke-ckpt-compressed"
-rm -rf "$ZCKPT_ROOT"
-mkdir -p "$ZCKPT_ROOT"
-"$RUNNER" --rounds 6 --seed 17 --out "$ZCKPT_ROOT/ref.bin"
-"$RUNNER" --rounds 6 --seed 17 --out "$ZCKPT_ROOT/killed.bin" \
-  --checkpoint-dir "$ZCKPT_ROOT/ckpt" --compress-ckpt --sleep-ms 300 &
-RUNNER_PID=$!
-for _ in $(seq 1 600); do
-  compgen -G "$ZCKPT_ROOT/ckpt/ckpt.*" > /dev/null && break
-  sleep 0.05
-done
-compgen -G "$ZCKPT_ROOT/ckpt/ckpt.*" > /dev/null || {
-  echo "error: no checkpoint appeared before the kill (compressed)" >&2
-  exit 1
-}
-kill -9 "$RUNNER_PID"
-wait "$RUNNER_PID" || true
-[[ ! -f "$ZCKPT_ROOT/killed.bin" ]] || {
-  echo "error: killed compressed run finished before SIGKILL landed" >&2
-  exit 1
-}
-"$RUNNER" --rounds 6 --seed 17 --out "$ZCKPT_ROOT/resumed.bin" \
-  --checkpoint-dir "$ZCKPT_ROOT/ckpt" --compress-ckpt --resume
-cmp "$ZCKPT_ROOT/ref.bin" "$ZCKPT_ROOT/resumed.bin"
-echo "kill-and-resume OK: compressed-checkpoint resume byte-identical"
+scripts/kill_resume.sh "$RUNNER" "$BUILD_DIR/smoke-ckpt-compressed" \
+  --compress-ckpt
 
 echo "=== micro_kernels (filtered) ==="
 MDL_QUICK=1 "$BUILD_DIR/bench/micro_kernels" \

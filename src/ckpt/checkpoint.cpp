@@ -102,12 +102,11 @@ TrainerGuard::TrainerGuard(const CheckpointConfig& checkpoint,
   }
 }
 
-std::int64_t TrainerGuard::begin(const PayloadWriter& save,
-                                 const PayloadReader& load) {
+std::int64_t TrainerGuard::begin() {
   if (!active()) return 0;
   std::int64_t completed = 0;
   if (manager_ && manager_->config().resume) {
-    if (const auto round = manager_->load_latest(load)) {
+    if (const auto round = manager_->load_latest(load_)) {
       completed = *round;
       MDL_OBS_COUNTER_ADD("ckpt.resumes", 1);
     }
@@ -125,42 +124,51 @@ std::int64_t TrainerGuard::begin(const PayloadWriter& save,
   }
   // Snapshot the (fresh or restored) state so a guard trip on the very
   // first round has something to roll back to.
-  last_good_ = encode_archive(save);
+  last_good_ = encode_archive(save_);
   last_good_round_ = completed;
   return completed;
 }
 
-TrainerGuard::Verdict TrainerGuard::end_of_round(
-    std::int64_t round, std::optional<double> loss,
-    std::span<const float> params, const PayloadWriter& save,
-    const PayloadReader& load) {
-  Verdict verdict;
-  verdict.resume_round = round;
-  if (!active()) return verdict;
-
-  verdict.health = health_.check(loss, params);
-  if (verdict.health == Health::kOk) {
-    // One encode per healthy round: the archive on disk is the snapshot.
-    last_good_ = manager_ ? manager_->save(round, save) : encode_archive(save);
-    last_good_round_ = round;
-    return verdict;
+void TrainerGuard::run(std::int64_t rounds, double& lr, PayloadWriter save,
+                       PayloadReader load,
+                       const std::function<bool(std::int64_t)>& round) {
+  save_ = std::move(save);
+  load_ = std::move(load);
+  for (std::int64_t r = begin() + 1; r <= rounds; ++r) {
+    rolled_back_ = false;
+    const bool stop = round(r);
+    if (rolled_back_) {
+      if (rollbacks_ > health_.config().max_rollbacks) {
+        MDL_OBS_COUNTER_ADD("health.gave_up", 1);
+        break;
+      }
+      // The restore just reset `lr` to its last-good value.
+      lr *= std::pow(kLrDecayOnRollback, static_cast<double>(rollbacks_));
+      r = last_good_round_;  // ++ resumes at last_good_round_ + 1
+    } else if (stop) {
+      break;
+    }
   }
+}
 
-  // Tripped: restore the last-good state and tell the trainer where to
-  // pick the loop back up (and how hard to cool the learning rate).
+bool TrainerGuard::end_round(std::int64_t round, std::optional<double> loss,
+                             std::span<const float> params) {
+  if (!active()) return false;
+  if (health_.check(loss, params) == Health::kOk) {
+    // One encode per healthy round: the archive on disk is the snapshot.
+    last_good_ =
+        manager_ ? manager_->save(round, save_) : encode_archive(save_);
+    last_good_round_ = round;
+    return false;
+  }
+  // Tripped: restore the last-good state; run() picks the loop back up
+  // after it, with a cooler learning rate.
   ++rollbacks_;
   MDL_OBS_COUNTER_ADD("health.rollbacks", 1);
-  decode_archive(last_good_, load);
+  decode_archive(last_good_, load_);
   health_.reset();
-  verdict.rolled_back = true;
-  verdict.resume_round = last_good_round_;
-  verdict.lr_scale =
-      std::pow(kLrDecayOnRollback, static_cast<double>(rollbacks_));
-  if (rollbacks_ > health_.config().max_rollbacks) {
-    MDL_OBS_COUNTER_ADD("health.gave_up", 1);
-    verdict.give_up = true;
-  }
-  return verdict;
+  rolled_back_ = true;
+  return true;
 }
 
 void write_state_header(BinaryWriter& w, const std::string& trainer,

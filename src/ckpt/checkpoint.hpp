@@ -10,19 +10,21 @@
 // when no retained checkpoint verifies.
 //
 // TrainerGuard bundles the manager with a HealthMonitor and an in-memory
-// last-good snapshot into the round-loop protocol every trainer shares:
-//   begin()        — resume from disk if asked; else clear the directory's
-//                    ckpt.<round> files (a fresh run owns it) and
-//                    snapshot round 0
-//   end_of_round() — health-check, persist + snapshot when healthy (the
-//                    archive written to disk is the snapshot), or roll
-//                    back to the last-good state when tripped
+// last-good snapshot, and owns the round loop every trainer shares.
+// run() resumes from disk if asked (else clears the directory's
+// ckpt.<round> files, since a fresh run owns it) and snapshots the starting
+// state. Then it calls the trainer's round body, which closes each round
+// with end_round(): a healthy round is persisted and becomes the snapshot
+// (the archive written to disk is the snapshot); a tripped one is rolled
+// back to the last-good state, and the loop decays the learning rate and
+// replays from there, or stops once the rollback budget is spent.
 // State travels as opaque payload callbacks, so the guard works for any
 // trainer that can serialize itself (model, optimizer state, RNG, privacy
 // budget, ...) through core/serialize.hpp.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -70,9 +72,9 @@ class CheckpointManager {
   CheckpointConfig config_;
 };
 
-/// Round-loop robustness protocol shared by all trainers (see file
-/// comment). Owns the optional CheckpointManager, the HealthMonitor, and
-/// the in-memory last-good snapshot.
+/// The round loop shared by all trainers (see file comment). Owns the
+/// optional CheckpointManager, the HealthMonitor, and the in-memory
+/// last-good snapshot.
 class TrainerGuard {
  public:
   /// `trainer` tags checkpoints so a FedAvg directory cannot silently
@@ -80,45 +82,42 @@ class TrainerGuard {
   TrainerGuard(const CheckpointConfig& checkpoint, const HealthConfig& health,
                std::string trainer);
 
+  /// Runs rounds 1..`rounds`: resumes from disk when configured, then calls
+  /// `round(r)`, which closes the round with end_round(). After a rollback
+  /// the loop scales `lr` by 0.5 compounded over every rollback so far (so
+  /// repeated trips at the same round replay at strictly smaller rates) and
+  /// replays from the round after the last good one; once more than
+  /// max_rollbacks have been taken it stops at the restored last-good
+  /// state. `round` returns true to stop early.
+  void run(std::int64_t rounds, double& lr, PayloadWriter save,
+           PayloadReader load, const std::function<bool(std::int64_t)>& round);
+
+  /// Health-checks the completed round. Healthy: encodes the state once,
+  /// persists it when checkpointing, and keeps that archive as the
+  /// last-good snapshot. Tripped: restores the last-good state and returns
+  /// true.
+  bool end_round(std::int64_t round, std::optional<double> loss,
+                 std::span<const float> params);
+
+  std::int64_t rollbacks() const { return rollbacks_; }
+
+ private:
+  bool active() const { return manager_.has_value() || health_.config().enabled; }
   /// Resumes from disk when configured; a fresh run instead removes every
   /// `ckpt.<round>` file in the directory (other files stay). Then
   /// snapshots the (possibly restored) state as the initial last-good.
   /// Returns the number of already-completed rounds (0 on a fresh start).
-  std::int64_t begin(const PayloadWriter& save, const PayloadReader& load);
+  std::int64_t begin();
 
-  /// Outcome of end_of_round() for the trainer's loop.
-  struct Verdict {
-    Health health = Health::kOk;
-    bool rolled_back = false;
-    /// True when max_rollbacks was exhausted: stop training; the last-good
-    /// state has been restored.
-    bool give_up = false;
-    /// After a rollback: the round training resumes *after*.
-    std::int64_t resume_round = 0;
-    /// Learning-rate multiplier the trainer applies after a rollback: 0.5
-    /// compounded over every rollback so far, so repeated trips at the same
-    /// round replay at strictly smaller rates.
-    double lr_scale = 1.0;
-  };
-
-  /// Health-checks the completed round. Healthy: encodes the state once,
-  /// persists it when checkpointing, and keeps that archive as the
-  /// last-good snapshot. Tripped: restores the last-good state via `load`
-  /// and reports how the trainer should continue.
-  Verdict end_of_round(std::int64_t round, std::optional<double> loss,
-                       std::span<const float> params,
-                       const PayloadWriter& save, const PayloadReader& load);
-
-  bool active() const { return manager_.has_value() || health_.config().enabled; }
-  std::int64_t rollbacks() const { return rollbacks_; }
-
- private:
   std::optional<CheckpointManager> manager_;
   HealthMonitor health_;
   std::string trainer_;
+  PayloadWriter save_;
+  PayloadReader load_;
   std::string last_good_;  ///< serialized archive of the last healthy state
   std::int64_t last_good_round_ = 0;
   std::int64_t rollbacks_ = 0;
+  bool rolled_back_ = false;  ///< the current round was rolled back
 };
 
 /// Tags every checkpoint payload: writes the trainer name + state version.

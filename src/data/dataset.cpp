@@ -119,18 +119,22 @@ MultiViewBatch make_batch(const MultiViewDataset& ds,
               "batch index " << indices[bi] << " out of range");
     const MultiViewExample& ex = ds.examples[indices[bi]];
     batch.labels.push_back(ex.label);
-    for (std::size_t p = 0; p < ex.views.size(); ++p) {
-      const Tensor& v = ex.views[p];  // [T, dim]
-      Tensor& dst = batch.views[p];   // [T, B, dim]
-      const std::int64_t t_len = ds.seq_lens[p];
-      const std::int64_t dim = ds.view_dims[p];
-      for (std::int64_t t = 0; t < t_len; ++t)
-        for (std::int64_t f = 0; f < dim; ++f)
-          dst[(t * b + static_cast<std::int64_t>(bi)) * dim + f] =
-              v[t * dim + f];
-    }
+    for (std::size_t p = 0; p < ex.views.size(); ++p)
+      put_time_major(ex.views[p], static_cast<std::int64_t>(bi),
+                     batch.views[p]);
   }
   return batch;
+}
+
+void put_time_major(const Tensor& sequence, std::int64_t bi, Tensor& batch) {
+  const std::int64_t t_len = batch.shape(0);
+  const std::int64_t b = batch.shape(1);
+  const std::int64_t dim = batch.shape(2);
+  MDL_CHECK(bi >= 0 && bi < b && sequence.size() == t_len * dim,
+            "sequence does not fit column " << bi << " of the batch");
+  for (std::int64_t t = 0; t < t_len; ++t)
+    std::copy_n(sequence.data() + t * dim, dim,
+                batch.data() + (t * b + bi) * dim);
 }
 
 std::vector<std::vector<std::size_t>> minibatch_indices(std::size_t n,

@@ -85,6 +85,10 @@ struct MultiViewBatch {
 MultiViewBatch make_batch(const MultiViewDataset& ds,
                           std::span<const std::size_t> indices);
 
+/// Copies one [T, dim] sequence into column `bi` of a time-major
+/// [T, B, dim] batch tensor (the layout the recurrent encoders consume).
+void put_time_major(const Tensor& sequence, std::int64_t bi, Tensor& batch);
+
 /// Yields shuffled minibatch index lists covering [0, n).
 std::vector<std::vector<std::size_t>> minibatch_indices(std::size_t n,
                                                         std::size_t batch_size,

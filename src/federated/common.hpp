@@ -68,24 +68,8 @@ struct CommLedger {
   std::uint64_t bytes_up_raw = 0;
   std::uint64_t bytes_down_raw = 0;
 
-  void dense_up(std::uint64_t floats) {
-    bytes_up += floats * 4;
-    bytes_up_raw += floats * 4;
-  }
-  void dense_down(std::uint64_t floats) {
-    bytes_down += floats * 4;
-    bytes_down_raw += floats * 4;
-  }
-  void sparse_up(std::uint64_t coords) {
-    bytes_up += coords * 8;
-    bytes_up_raw += coords * 8;
-  }
-  void sparse_down(std::uint64_t coords) {
-    bytes_down += coords * 8;
-    bytes_down_raw += coords * 8;
-  }
-  /// Codec-priced transfer: `wire` encoded bytes crossed the radio standing
-  /// in for `raw` uncompressed ones.
+  /// One transfer: `wire` bytes crossed the radio standing in for `raw`
+  /// uncompressed ones (equal without a codec).
   void encoded_up(std::uint64_t wire, std::uint64_t raw) {
     bytes_up += wire;
     bytes_up_raw += raw;

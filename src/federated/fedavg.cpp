@@ -55,7 +55,6 @@ std::vector<RoundStats> FedAvgTrainer::run(const data::TabularDataset& test) {
   std::vector<RoundStats> history;
   history.reserve(static_cast<std::size_t>(config_.rounds));
   const auto global_params = runner_.model().parameters();
-  const WireCodec* wire = runner_.wire();
   CommLedger& ledger = runner_.ledger();
 
   const auto round_fn = [&](std::int64_t round) {
@@ -68,23 +67,14 @@ std::vector<RoundStats> FedAvgTrainer::run(const data::TabularDataset& test) {
         static_cast<std::size_t>(config_.clients_per_round));
 
     RoundStats stats;
-    stats.round = round;
-    // On-wire size of the model broadcast. With a wire codec attached it is
-    // the entropy-coded size, and it also stands in for the uploads when
-    // sizing the simulated exchange: uploads are same-length dense vectors
-    // whose exact encoded sizes only exist after training, so the network
-    // model prices the round by the broadcast encoding while the ledger
-    // bills each client's true encoded upload below.
+    // The network prices the round by the broadcast encoding while the
+    // ledger bills each client's true encoded upload below. Survivors: the
+    // clients whose upload the server accepts this round.
+    const RoundRunner::Cohort cohort =
+        runner_.broadcast(round, selected, w_global, stats);
+    const std::vector<std::size_t>& survivors = cohort.survivors;
     const std::uint64_t model_raw =
         static_cast<std::uint64_t>(w_global.size()) * 4;
-    const std::uint64_t broadcast_wire =
-        wire != nullptr ? wire->dense_wire_bytes(w_global) : model_raw;
-    // Survivors: the clients whose upload the server accepts this round.
-    const RoundRunner::Cohort cohort = runner_.exchange(
-        round, selected, broadcast_wire, broadcast_wire, stats);
-    for (std::size_t c = 0; c < cohort.reached.size(); ++c)
-      ledger.encoded_down(broadcast_wire, model_raw);
-    const std::vector<std::size_t>& survivors = cohort.survivors;
 
     double round_loss = 0.0;
     if (!survivors.empty()) {
@@ -107,7 +97,7 @@ std::vector<RoundStats> FedAvgTrainer::run(const data::TabularDataset& test) {
       // singletons and the sum is bit-identical to the historical
       // strictly-sequential fold (see DESIGN.md).
       std::vector<double> client_loss(n_clients, 0.0);
-      std::vector<std::uint64_t> upload_wire(n_clients, model_raw);
+      std::vector<std::uint64_t> upload_wire(n_clients);
       const std::vector<double> aggregate = runner_.client_pass(
           round, survivors, kAggShards, w_global.size(),
           [&](const RoundRunner::Client& client) {
@@ -124,10 +114,9 @@ std::vector<RoundStats> FedAvgTrainer::run(const data::TabularDataset& test) {
                   config_.batch_size, config_.client_lr, client.rng);
               upload = nn::flatten_values(client.params);
             }
-            // Per-client encoded upload size; the codec encode is pure, so
-            // calling it from the chunk workers is race-free.
-            if (wire != nullptr)
-              upload_wire[client.index] = wire->dense_wire_bytes(upload);
+            // Per-client upload size; the codec encode is pure, so calling
+            // it from the chunk workers is race-free.
+            upload_wire[client.index] = runner_.dense_bytes(upload);
             const double w = weight(client.index);
             for (std::size_t i = 0; i < upload.size(); ++i)
               client.acc[i] += w * static_cast<double>(upload[i]);
@@ -149,20 +138,14 @@ std::vector<RoundStats> FedAvgTrainer::run(const data::TabularDataset& test) {
       }
       nn::unflatten_into_values(w_next, global_params);
     }
-    // Aborted (or fully failed) rounds keep the previous global model.
-
-    stats.train_loss = round_loss;
-    stats.test_accuracy = evaluate_accuracy(runner_.model(), test);
-    stats.cumulative_bytes = ledger.total();
-    // Health gate; aborted rounds carry no meaningful loss.
-    const std::vector<float> w_now = nn::flatten_values(global_params);
-    stats.rolled_back = runner_.end_round(
-        round,
+    // Aborted (or fully failed) rounds keep the previous global model and
+    // carry no meaningful loss.
+    runner_.close_round(
+        stats,
         survivors.empty() ? std::nullopt : std::optional<double>(round_loss),
-        w_now);
+        nn::flatten_values(global_params), test);
     history.push_back(stats);
 
-    runner_.publish(stats);
     MDL_OBS_GAUGE_SET("fedavg.peak_rss_bytes",
                       static_cast<double>(obs::peak_rss_bytes()));
     if (config_.on_round) config_.on_round(stats);

@@ -105,28 +105,28 @@ void RoundRunner::run(std::int64_t rounds,
                       const ckpt::HealthConfig& health, double& lr,
                       ckpt::PayloadWriter save, ckpt::PayloadReader load,
                       const std::function<bool(std::int64_t)>& round) {
-  save_ = std::move(save);
-  load_ = std::move(load);
   guard_.emplace(checkpoint, health, name_);
-  for (std::int64_t r = guard_->begin(save_, load_) + 1; r <= rounds; ++r) {
-    before_ = ledger_;
-    verdict_ = {};
-    const bool stop = round(r);
-    if (verdict_.rolled_back) {
-      if (verdict_.give_up) break;
-      // The restore just reset `lr` to its last-good value.
-      lr *= verdict_.lr_scale;
-      r = verdict_.resume_round;  // ++ resumes at resume_round + 1
-    } else if (stop) {
-      break;
-    }
-  }
+  guard_->run(rounds, lr, std::move(save), std::move(load),
+              [&](std::int64_t r) {
+                before_ = ledger_;
+                return round(r);
+              });
 }
 
-bool RoundRunner::end_round(std::int64_t round, std::optional<double> loss,
-                            std::span<const float> params) {
-  verdict_ = guard_->end_of_round(round, loss, params, save_, load_);
-  return verdict_.rolled_back;
+bool RoundRunner::close_round(RoundStats& stats, std::optional<double> loss,
+                              std::span<const float> params,
+                              const data::TabularDataset& test) {
+  stats.train_loss = loss.value_or(0.0);
+  stats.test_accuracy = evaluate_accuracy(*model_, test);
+  stats.cumulative_bytes = ledger_.total();
+  stats.rolled_back = guard_->end_round(stats.round, loss, params);
+  publish(stats);
+  return stats.rolled_back;
+}
+
+std::uint64_t RoundRunner::dense_bytes(std::span<const float> values) const {
+  return wire_ != nullptr ? wire_->dense_wire_bytes(values)
+                          : static_cast<std::uint64_t>(values.size()) * 4;
 }
 
 void RoundRunner::publish(const RoundStats& stats) const {
@@ -159,6 +159,7 @@ RoundRunner::Cohort RoundRunner::exchange(
     std::int64_t round, const std::vector<std::size_t>& selected,
     std::uint64_t bytes_down, std::uint64_t bytes_up, RoundStats& stats) {
   Cohort cohort;
+  stats.round = round;
   stats.clients_selected = static_cast<std::int64_t>(selected.size());
   if (net_ == nullptr) {
     cohort.reached = selected;
@@ -188,6 +189,17 @@ RoundRunner::Cohort RoundRunner::exchange(
   stats.aborted = report.aborted;
   stats.sim_latency_s = report.round_latency_s;
   stats.sim_energy_j = report.device_energy_j;
+  return cohort;
+}
+
+RoundRunner::Cohort RoundRunner::broadcast(
+    std::int64_t round, const std::vector<std::size_t>& selected,
+    std::span<const float> values, RoundStats& stats) {
+  const std::uint64_t wire = dense_bytes(values);
+  const std::uint64_t raw = static_cast<std::uint64_t>(values.size()) * 4;
+  Cohort cohort = exchange(round, selected, wire, wire, stats);
+  for (std::size_t c = 0; c < cohort.reached.size(); ++c)
+    ledger_.encoded_down(wire, raw);
   return cohort;
 }
 

@@ -7,13 +7,17 @@
 // only in how clients are picked, what a client computes and how the
 // server aggregates. RoundRunner is that loop minus those three choices:
 //   - the model factory, client population, seed and trainer RNG;
-//   - the attached SimNetwork / WireCodec and the CommLedger they bill;
+//   - the attached SimNetwork / WireCodec and the CommLedger they bill,
+//     with the one raw-vs-codec rule for pricing a dense payload;
 //   - the workspace pool (one model + shard scratch per aggregation chunk);
-//   - the TrainerGuard loop: resume, health check, rollback with LR decay;
+//   - the round loop: run() hands it to ckpt::TrainerGuard (resume, health
+//     check, rollback with LR decay);
 //   - the checkpoint state prefix every trainer writes first;
-//   - the cohort exchange through the SimNetwork;
+//   - the cohort exchange through the SimNetwork, and broadcast(): the
+//     dense model download priced, exchanged and billed;
 //   - the chunked parallel client pass with its streaming accumulators;
-//   - the per-round `<name>.*` and `sim.bytes_*` metrics.
+//   - close_round(): evaluation, the health gate and the per-round
+//     `<name>.*` and `sim.bytes_*` metrics.
 // A trainer keeps its algorithm: the sampling rule, the client update, the
 // aggregation, and its own state payload after the prefix.
 #pragma once
@@ -27,6 +31,7 @@
 #include <vector>
 
 #include "ckpt/checkpoint.hpp"
+#include "data/dataset.hpp"
 #include "federated/common.hpp"
 #include "federated/population.hpp"
 
@@ -87,23 +92,28 @@ class RoundRunner {
 
   // -- Round loop ----------------------------------------------------------
 
-  /// Runs rounds 1..`rounds` under a TrainerGuard: resumes from disk when
-  /// configured, then calls `round(r)`, which must close with end_round().
-  /// After a rollback the loop scales `lr` by the guard's compounded decay
-  /// and replays from the last good round, or stops when the guard gives
-  /// up. `round` returns true to stop early.
+  /// Runs rounds 1..`rounds` through a ckpt::TrainerGuard tagged with this
+  /// runner's name (see TrainerGuard::run); `round(r)` must close with
+  /// close_round(). `round` returns true to stop early.
   void run(std::int64_t rounds, const ckpt::CheckpointConfig& checkpoint,
            const ckpt::HealthConfig& health, double& lr,
            ckpt::PayloadWriter save, ckpt::PayloadReader load,
            const std::function<bool(std::int64_t)>& round);
-  /// Health-checks the round (snapshot/persist, or roll back); returns
-  /// whether it was rolled back.
-  bool end_round(std::int64_t round, std::optional<double> loss,
-                 std::span<const float> params);
-  /// Counters `<name>.rounds`, `<name>.round_aborts`, `<name>.bytes_up/down`
-  /// (and, with a codec, `sim.bytes_{up,down}_{compressed,raw}`) over the
-  /// round's ledger delta; gauges `<name>.test_accuracy/train_loss`.
-  void publish(const RoundStats& stats) const;
+  /// Closes the round: sets `train_loss` (0 when `loss` is nullopt, i.e. no
+  /// upload counted), `test_accuracy` on `test` and `cumulative_bytes`;
+  /// health-checks `loss` and `params` (snapshot/persist, or roll back);
+  /// publishes the counters `<name>.rounds`, `<name>.round_aborts`,
+  /// `<name>.bytes_up/down` (and, with a codec,
+  /// `sim.bytes_{up,down}_{compressed,raw}`) over the round's ledger delta
+  /// and the gauges `<name>.test_accuracy/train_loss`. Returns (and stores
+  /// in `stats`) whether the round was rolled back.
+  bool close_round(RoundStats& stats, std::optional<double> loss,
+                   std::span<const float> params,
+                   const data::TabularDataset& test);
+
+  /// On-wire bytes of a dense float payload: its encoded size with a codec
+  /// attached, else 4 bytes per float.
+  std::uint64_t dense_bytes(std::span<const float> values) const;
 
   // -- Exchange and client pass ----------------------------------------------
 
@@ -118,11 +128,17 @@ class RoundRunner {
   /// Runs `selected` through the attached SimNetwork, sized by `bytes_down`
   /// / `bytes_up` per client (loss-free without one: everyone survives).
   /// Bills the uplink bytes that delivered nothing — failed attempts, and
-  /// uploads into a quorum-aborted round — and fills the RoundStats
+  /// uploads into a quorum-aborted round — and fills the RoundStats round,
   /// selection and fault fields. Payload bytes are the trainer's to bill.
   Cohort exchange(std::int64_t round, const std::vector<std::size_t>& selected,
                   std::uint64_t bytes_down, std::uint64_t bytes_up,
                   RoundStats& stats);
+  /// exchange() for a round that broadcasts the dense `values` to
+  /// `selected`: sized by dense_bytes(values) each way (the uploads are
+  /// same-length dense vectors whose encoded sizes only exist after
+  /// training), then one download billed per reached client.
+  Cohort broadcast(std::int64_t round, const std::vector<std::size_t>& selected,
+                   std::span<const float> values, RoundStats& stats);
 
   /// One client as the pass hands it to the trainer's update.
   struct Client {
@@ -146,6 +162,7 @@ class RoundRunner {
                                   const std::function<void(const Client&)>& update);
 
  private:
+  void publish(const RoundStats& stats) const;
   void ensure_workspaces(std::size_t n);
   void add_workspace(std::unique_ptr<nn::Sequential> model);
 
@@ -164,9 +181,6 @@ class RoundRunner {
   sim::SimNetwork* net_ = nullptr;
   const WireCodec* wire_ = nullptr;
   std::optional<ckpt::TrainerGuard> guard_;
-  ckpt::PayloadWriter save_;
-  ckpt::PayloadReader load_;
-  ckpt::TrainerGuard::Verdict verdict_;
 };
 
 }  // namespace mdl::federated

@@ -13,13 +13,6 @@ namespace mdl::federated {
 namespace {
 // v4: the shared RoundRunner prefix; older archives are refused.
 constexpr std::uint32_t kSelectiveSgdStateVersion = 4;
-/// Workspace-chunk cap: participants are partitioned into at most this many
-/// contiguous chunks for the parallel pass; each chunk trains its
-/// participants sequentially in one reused workspace. Per-participant work
-/// is fully independent (pre-forked RNGs, snapshot downloads, merge in the
-/// sequential epilogue), so chunking has no numeric effect — it only caps
-/// the workspace pool at 16 models instead of one per participant.
-constexpr std::size_t kWorkspaceChunks = 16;
 }
 
 void SelectiveSGDTrainer::save_state(BinaryWriter& w) const {
@@ -105,13 +98,35 @@ std::vector<RoundStats> SelectiveSGDTrainer::run(
   const auto round_fn = [&](std::int64_t round) {
     MDL_OBS_SPAN_T("selective_sgd.round", obs::track_round(round));
 
+    // Per-participant payload sizes without a codec: 4 bytes per float
+    // dense, 8 per (index, value) coordinate sparse.
+    const bool dense_down = config_.download_fraction >= 1.0;
+    const bool dense_up = config_.upload_fraction >= 1.0;
+    const std::uint64_t dl_raw =
+        dense_down ? static_cast<std::uint64_t>(p_count) * 4
+                   : static_cast<std::uint64_t>(
+                         top_k(config_.download_fraction)) * 8;
+    const std::uint64_t ul_raw =
+        dense_up ? static_cast<std::uint64_t>(p_count) * 4
+                 : static_cast<std::uint64_t>(top_k(config_.upload_fraction)) *
+                       8;
+    // On-wire bytes of one download: the full server snapshot's size, the
+    // same for every participant (all fetch the same g0), or the raw sparse
+    // size, which a codec replaces per participant in the pass.
+    const std::uint64_t down_wire =
+        dense_down ? runner_.dense_bytes(global_) : dl_raw;
+
     // With a wire codec attached, the simulated exchange is sized by
     // representative *encoded* payloads. Per-participant payloads (stale
     // coordinates, post-training deltas) only exist later, so the round is
     // priced by streams built from the server vector: the dense broadcast
-    // itself, or the top-k-|g0| coordinates as a sparse stand-in. The
-    // ledger bills each participant's true encoded payload in the merge.
-    const auto representative_sparse = [&](std::size_t k) -> std::uint64_t {
+    // itself, or the top-k-|g0| coordinates as a sparse stand-in (built only
+    // with a codec; without one the raw size stands in). The ledger bills
+    // each participant's true payload in the merge.
+    const auto sparse_stand_in = [&](double fraction,
+                                     std::uint64_t raw) -> std::uint64_t {
+      if (wire == nullptr) return raw;
+      const std::size_t k = top_k(fraction);
       std::vector<std::size_t> order(p_count);
       std::iota(order.begin(), order.end(), std::size_t{0});
       std::nth_element(order.begin(),
@@ -127,12 +142,6 @@ std::vector<RoundStats> SelectiveSGDTrainer::run(
                             global_[order[j]]);
       return wire->sparse_wire_bytes(coords);
     };
-    // Encoded size of the full server snapshot; reused for every dense
-    // download this round (all participants fetch the same g0).
-    const std::uint64_t dense_down_wire =
-        wire != nullptr && config_.download_fraction >= 1.0
-            ? wire->dense_wire_bytes(global_)
-            : static_cast<std::uint64_t>(p_count) * 4;
 
     // Fault-injected exchange for the whole population (loss-free without
     // an attached SimNetwork). Coordinate counts are uniform across
@@ -140,29 +149,16 @@ std::vector<RoundStats> SelectiveSGDTrainer::run(
     std::uint64_t bytes_down = 0;
     std::uint64_t bytes_up = 0;
     if (runner_.net() != nullptr) {
-      bytes_down =
-          config_.download_fraction >= 1.0
-              ? static_cast<std::uint64_t>(p_count) * 4
-              : static_cast<std::uint64_t>(top_k(config_.download_fraction)) *
-                    8;
-      bytes_up =
-          config_.upload_fraction >= 1.0
-              ? static_cast<std::uint64_t>(p_count) * 4
-              : static_cast<std::uint64_t>(top_k(config_.upload_fraction)) * 8;
-      if (wire != nullptr) {
-        bytes_down = config_.download_fraction >= 1.0
-                         ? dense_down_wire
-                         : representative_sparse(
-                               top_k(config_.download_fraction));
-        bytes_up = config_.upload_fraction >= 1.0
-                       ? wire->dense_wire_bytes(global_)
-                       : representative_sparse(top_k(config_.upload_fraction));
-      }
+      bytes_down = dense_down ? down_wire
+                              : sparse_stand_in(config_.download_fraction,
+                                                dl_raw);
+      bytes_up = dense_up
+                     ? runner_.dense_bytes(global_)
+                     : sparse_stand_in(config_.upload_fraction, ul_raw);
     }
     std::vector<std::size_t> all(n_participants);
     std::iota(all.begin(), all.end(), std::size_t{0});
     RoundStats stats;
-    stats.round = round;
     // Every participant that did not drop out trains; only accepted uploads
     // reach the server.
     const RoundRunner::Cohort cohort =
@@ -177,18 +173,20 @@ std::vector<RoundStats> SelectiveSGDTrainer::run(
     const std::vector<float> g0 = global_;
     const std::vector<std::uint32_t> v0 = version_;
 
-    // Parallel phase (see kWorkspaceChunks). Everything written is
-    // per-participant state; the shared g0/v0 are read-only — so chunking
-    // changes no numerics. Exact encoded wire bytes per participant are
-    // filled when a codec is attached (the codec encode is pure, so the
-    // calls are race-free).
+    // Parallel phase: participants are cut into at most kAggShards
+    // contiguous chunks, each trained sequentially in one reused workspace.
+    // Everything written is per-participant state (pre-forked RNGs, merge
+    // in the sequential epilogue); the shared g0/v0 are read-only — so
+    // chunking changes no numerics and only caps the workspace pool.
+    // Exact encoded wire bytes per participant are filled when a codec is
+    // attached (the codec encode is pure, so the calls are race-free).
     std::vector<double> client_loss(n_active, 0.0);
     std::vector<std::vector<std::pair<std::uint32_t, float>>> uploads(
         n_active);
-    std::vector<std::uint64_t> dl_wire(n_active, 0);
-    std::vector<std::uint64_t> ul_wire(n_active, 0);
+    std::vector<std::uint64_t> dl_wire(n_active, down_wire);
+    std::vector<std::uint64_t> ul_wire(n_active, ul_raw);
     runner_.client_pass(
-        round, active, kWorkspaceChunks, 0,
+        round, active, kAggShards, 0,
         [&](const RoundRunner::Client& client) {
           const std::size_t c = client.index;
           std::vector<float>& local = locals_[client.id];
@@ -196,7 +194,7 @@ std::vector<RoundStats> SelectiveSGDTrainer::run(
           std::vector<std::size_t> order(p_count);
 
           // -- Download: theta_d fraction of the most-stale coordinates ---
-          if (config_.download_fraction >= 1.0) {
+          if (dense_down) {
             for (std::size_t i = 0; i < p_count; ++i) {
               local[i] = g0[i];
               seen[i] = v0[i];
@@ -252,15 +250,12 @@ std::vector<RoundStats> SelectiveSGDTrainer::run(
               const auto i = static_cast<std::uint32_t>(order[j]);
               uploads[c].emplace_back(i, delta[i]);
             }
-            if (wire != nullptr) {
-              if (config_.upload_fraction >= 1.0) {
-                ul_wire[c] = wire->dense_wire_bytes(delta);
-              } else {
-                std::vector<std::pair<std::uint32_t, float>> coords =
-                    uploads[c];
-                std::sort(coords.begin(), coords.end());
-                ul_wire[c] = wire->sparse_wire_bytes(coords);
-              }
+            if (dense_up) {
+              ul_wire[c] = runner_.dense_bytes(delta);
+            } else if (wire != nullptr) {
+              std::vector<std::pair<std::uint32_t, float>> coords = uploads[c];
+              std::sort(coords.begin(), coords.end());
+              ul_wire[c] = wire->sparse_wire_bytes(coords);
             }
           }
 
@@ -275,38 +270,26 @@ std::vector<RoundStats> SelectiveSGDTrainer::run(
     double round_loss = 0.0;
     for (std::size_t c = 0; c < n_active; ++c) {
       round_loss += client_loss[c];
-      if (config_.download_fraction >= 1.0) {
-        const std::uint64_t raw = static_cast<std::uint64_t>(p_count) * 4;
-        ledger.encoded_down(wire != nullptr ? dense_down_wire : raw, raw);
-      } else {
-        const std::uint64_t raw =
-            static_cast<std::uint64_t>(top_k(config_.download_fraction)) * 8;
-        ledger.encoded_down(wire != nullptr ? dl_wire[c] : raw, raw);
-      }
+      ledger.encoded_down(dl_wire[c], dl_raw);
       if (cohort.accepted[c]) {
         for (const auto& [i, d] : uploads[c]) {
           global_[i] += d;
           ++version_[i];
         }
-        const std::uint64_t raw =
-            uploads[c].size() * (config_.upload_fraction >= 1.0 ? 4 : 8);
-        ledger.encoded_up(wire != nullptr ? ul_wire[c] : raw, raw);
+        ledger.encoded_up(ul_wire[c], ul_raw);
       }
     }
 
     nn::unflatten_into_values(global_, params);
-    stats.train_loss =
-        n_active > 0 ? round_loss / static_cast<double>(n_active) : 0.0;
-    stats.test_accuracy = evaluate_accuracy(runner_.model(), test);
-    stats.cumulative_bytes = ledger.total();
     // Health gate over the server vector; rounds where nobody participated
     // carry no meaningful loss.
-    stats.rolled_back = runner_.end_round(
-        round,
-        n_active > 0 ? std::optional<double>(stats.train_loss) : std::nullopt,
-        global_);
+    runner_.close_round(
+        stats,
+        n_active > 0
+            ? std::optional<double>(round_loss / static_cast<double>(n_active))
+            : std::nullopt,
+        global_, test);
     history.push_back(stats);
-    runner_.publish(stats);
     return false;
   };
   runner_.run(

@@ -62,7 +62,6 @@ std::vector<DpRoundStats> DpFedAvgTrainer::run(
   const std::uint64_t model_raw = static_cast<std::uint64_t>(p_count) * 4;
   const double expected_cohort = config_.client_sample_prob *
                                  static_cast<double>(runner_.population().size());
-  const federated::WireCodec* wire = runner_.wire();
   federated::CommLedger& ledger = runner_.ledger();
 
   std::vector<DpRoundStats> history;
@@ -71,23 +70,16 @@ std::vector<DpRoundStats> DpFedAvgTrainer::run(
   const auto round_fn = [&](std::int64_t round) {
     MDL_OBS_SPAN_T("dp_fedavg.round", obs::track_round(round));
     const std::vector<float> w_global = nn::flatten_values(global_params);
-    // With a wire codec the exchange is sized by the encoded broadcast —
-    // the clipped deltas' exact encoded sizes only exist after training.
-    const std::uint64_t broadcast_wire =
-        wire != nullptr ? wire->dense_wire_bytes(w_global) : model_raw;
 
     // Modification 1 — independent sampling. The sampled cohort runs the
     // gauntlet of the fault plan; lost updates just shrink the realized
     // cohort — the fixed-denominator estimator keeps the sensitivity
     // bound, so no DP correction is needed.
     federated::RoundStats stats;
-    stats.round = round;
     const std::vector<std::size_t> sampled = federated::sample_bernoulli_cohort(
         runner_.rng(), runner_.population().size(), config_.client_sample_prob);
-    const federated::RoundRunner::Cohort cohort = runner_.exchange(
-        round, sampled, broadcast_wire, broadcast_wire, stats);
-    for (std::size_t c = 0; c < cohort.reached.size(); ++c)
-      ledger.encoded_down(broadcast_wire, model_raw);
+    const federated::RoundRunner::Cohort cohort =
+        runner_.broadcast(round, sampled, w_global, stats);
     const std::vector<std::size_t>& participants = cohort.survivors;
     const std::size_t n_clients = participants.size();
 
@@ -95,7 +87,7 @@ std::vector<DpRoundStats> DpFedAvgTrainer::run(
     // chunk's accumulator; with cohort <= kAggShards the sum is the
     // sequential one bit for bit.
     std::vector<double> client_loss(n_clients, 0.0);
-    std::vector<std::uint64_t> delta_wire(n_clients, model_raw);
+    std::vector<std::uint64_t> delta_wire(n_clients);
     const std::vector<double> update_sum = runner_.client_pass(
         round, participants, federated::kAggShards, p_count,
         [&](const federated::RoundRunner::Client& client) {
@@ -106,10 +98,9 @@ std::vector<DpRoundStats> DpFedAvgTrainer::run(
           std::vector<float> update = nn::flatten_values(client.params);
           for (std::size_t i = 0; i < p_count; ++i) update[i] -= w_global[i];
           nn::clip_l2(update, config_.clip_norm);  // modification 2
-          // Encoded size of the DP-clipped delta this client uploads; the
-          // codec encode is pure, so the call is race-free.
-          if (wire != nullptr)
-            delta_wire[client.index] = wire->dense_wire_bytes(update);
+          // Size of the DP-clipped delta this client uploads; the codec
+          // encode is pure, so the call is race-free.
+          delta_wire[client.index] = runner_.dense_bytes(update);
           for (std::size_t i = 0; i < p_count; ++i)
             client.acc[i] += static_cast<double>(update[i]);
         });
@@ -139,26 +130,23 @@ std::vector<DpRoundStats> DpFedAvgTrainer::run(
     // An aborted round releases nothing: the global model is unchanged and
     // the moments accountant is not charged.
 
-    stats.train_loss =
-        n_clients > 0 ? round_loss / static_cast<double>(n_clients) : 0.0;
-    stats.test_accuracy = federated::evaluate_accuracy(runner_.model(), test);
-    stats.cumulative_bytes = ledger.total();
+    // Read before the health gate: a rollback also rewinds the accountant
+    // (so the undone round's budget charge is not double-counted), and the
+    // history row reports the budget this round spent.
     const double epsilon = config_.noise_multiplier > 0.0
                                ? accountant_.epsilon(config_.delta)
                                : std::numeric_limits<double>::infinity();
-
     // Health gate over the released model. The noisy release can contain
-    // non-finite values if training blew up; rollback also rewinds the
-    // accountant so the undone round's budget charge is not double-counted.
-    const std::vector<float> w_now = nn::flatten_values(global_params);
-    stats.rolled_back = runner_.end_round(
-        round,
-        n_clients > 0 ? std::optional<double>(stats.train_loss) : std::nullopt,
-        w_now);
+    // non-finite values if training blew up.
+    const bool rolled_back = runner_.close_round(
+        stats,
+        n_clients > 0 ? std::optional<double>(
+                            round_loss / static_cast<double>(n_clients))
+                      : std::nullopt,
+        nn::flatten_values(global_params), test);
     history.push_back({round, stats.test_accuracy, stats.train_loss, epsilon,
                        stats.clients_selected, stats.clients_delivered,
-                       stats.aborted, stats.rolled_back});
-    runner_.publish(stats);
+                       stats.aborted, rolled_back});
     return false;
   };
   runner_.run(

@@ -61,11 +61,9 @@ DpSgdResult train_dp_sgd(nn::Sequential& model,
     steps = r.read_i64();
     accountant = MomentsAccountant::deserialize(r);
   };
-  // "Rounds" are epochs here: guard.begin returns completed epochs.
-  const std::int64_t start_epoch = guard.begin(save, load);
-
+  // Guard round r trains epoch r - 1.
   model.set_training(true);
-  for (std::int64_t epoch = start_epoch; epoch < config.epochs; ++epoch) {
+  guard.run(config.epochs, lr, save, load, [&](std::int64_t round) {
     double epoch_loss_sum = 0.0;
     std::int64_t epoch_lots = 0;
     std::int64_t epoch_steps = 0;
@@ -131,15 +129,9 @@ DpSgdResult train_dp_sgd(nn::Sequential& model,
             ? std::optional<double>(epoch_loss_sum /
                                     static_cast<double>(epoch_lots))
             : std::nullopt;
-    const ckpt::TrainerGuard::Verdict verdict = guard.end_of_round(
-        epoch + 1, epoch_loss,
-        std::span<const float>(nn::flatten_values(params)), save, load);
-    if (verdict.rolled_back) {
-      if (verdict.give_up) break;
-      lr *= verdict.lr_scale;
-      epoch = verdict.resume_round - 1;  // ++ resumes at resume_round
-    }
-  }
+    guard.end_round(round, epoch_loss, nn::flatten_values(params));
+    return false;
+  });
 
   DpSgdResult result;
   result.steps = steps;

@@ -194,21 +194,15 @@ Tensor InferenceServer::infer_stacked(
   const auto b = static_cast<std::int64_t>(batch.size());
   if (batch.front().request.kind == RequestKind::kMultiView) {
     // Stack per-request [T_p, dim_p] views into [T_p, B, dim_p] per view
-    // (same layout as data::make_batch).
+    // (the data::make_batch layout).
     const auto& cfg = multiview_->config();
     std::vector<Tensor> stacked;
     stacked.reserve(cfg.view_dims.size());
     for (std::size_t p = 0; p < cfg.view_dims.size(); ++p) {
-      const std::int64_t t_len = cfg.seq_lens[p];
-      const std::int64_t dim = cfg.view_dims[p];
-      Tensor dst({t_len, b, dim});
-      for (std::int64_t bi = 0; bi < b; ++bi) {
-        const Tensor& v = batch[static_cast<std::size_t>(bi)]
-                              .request.views[p];  // [T, dim]
-        for (std::int64_t t = 0; t < t_len; ++t)
-          for (std::int64_t f = 0; f < dim; ++f)
-            dst[(t * b + bi) * dim + f] = v[t * dim + f];
-      }
+      Tensor dst({cfg.seq_lens[p], b, cfg.view_dims[p]});
+      for (std::int64_t bi = 0; bi < b; ++bi)
+        data::put_time_major(
+            batch[static_cast<std::size_t>(bi)].request.views[p], bi, dst);
       stacked.push_back(std::move(dst));
     }
     return multiview_->infer(stacked);

@@ -283,21 +283,9 @@ TEST_F(CkptFixture, AllCorruptLoadsNothing) {
   EXPECT_EQ(v, -1);  // payload reader never ran
 }
 
-TEST_F(CkptFixture, CorruptManifestFallsBackToDirectoryScan) {
-  CheckpointManager mgr(make_config(dir));
-  mgr.save(4, int_payload(400));
-  mgr.save(6, int_payload(600));
-  std::ofstream(dir + "/MANIFEST", std::ios::binary) << "not an archive";
-
-  EXPECT_EQ(mgr.list_rounds(), (std::vector<std::int64_t>{4, 6}));
-  std::int64_t v = 0;
-  EXPECT_EQ(load_int(mgr, &v), std::optional<std::int64_t>(6));
-  EXPECT_EQ(v, 600);
-}
-
-TEST_F(CkptFixture, ManifestEntryWithoutFileIsIgnored) {
-  // Simulates a crash between the checkpoint write and the manifest write
-  // (or a pruned file lingering in the manifest).
+TEST_F(CkptFixture, DeletedCheckpointIsNotListed) {
+  // The directory is the index: once a ckpt.<n> file is gone (deleted by
+  // hand, or pruned), that round is neither listed nor loaded.
   CheckpointManager mgr(make_config(dir));
   mgr.save(1, int_payload(100));
   mgr.save(2, int_payload(200));
@@ -323,10 +311,25 @@ TEST_F(CkptFixture, CheckpointRenamedBeforeCrashIsResumed) {
         << "unexpected file " << entry.path();
 }
 
+TEST_F(CkptFixture, CorruptManifestFallsBackToDirectoryScan) {
+  // The directory is the index: a garbage MANIFEST (say, left behind by an
+  // older checkpoint layout) is neither read nor trusted.
+  CheckpointManager mgr(make_config(dir));
+  mgr.save(4, int_payload(400));
+  mgr.save(6, int_payload(600));
+  std::ofstream(dir + "/MANIFEST", std::ios::binary) << "not an archive";
+
+  EXPECT_EQ(mgr.list_rounds(), (std::vector<std::int64_t>{4, 6}));
+  std::int64_t v = 0;
+  EXPECT_EQ(load_int(mgr, &v), std::optional<std::int64_t>(6));
+  EXPECT_EQ(v, 600);
+}
+
 TEST_F(CkptFixture, TempFileLeftoverIsNotACheckpoint) {
+  // Only `ckpt.<digits>` files are checkpoints: an interrupted write's temp
+  // file and a non-numeric suffix are ignored.
   CheckpointManager mgr(make_config(dir));
   mgr.save(1, int_payload(100));
-  fs::remove(dir + "/MANIFEST");  // force directory scan
   std::ofstream(dir + "/ckpt.5.tmp", std::ios::binary) << "partial";
   std::ofstream(dir + "/ckpt.abc", std::ios::binary) << "junk";
   EXPECT_EQ(mgr.list_rounds(), (std::vector<std::int64_t>{1}));
@@ -365,26 +368,34 @@ TEST_F(CkptFixture, HealthyRoundRunsPayloadWriterOnce) {
     w.write_i64(state);
   };
   const PayloadReader load = [&](BinaryReader& r) { state = r.read_i64(); };
-  EXPECT_EQ(guard.begin(save, load), 0);
   const std::vector<float> params{0.0f};
-  for (std::int64_t round = 1; round <= 4; ++round) {
+  std::vector<std::int64_t> rounds_run;
+  double lr = 1.0;
+  guard.run(5, lr, save, load, [&](std::int64_t round) {
+    rounds_run.push_back(round);
     writes = 0;
-    state = round * 10;
-    EXPECT_EQ(guard.end_of_round(round, 1.0, params, save, load).health,
-              Health::kOk);
-    EXPECT_EQ(writes, 1) << "round " << round;
-  }
-  EXPECT_EQ(CheckpointManager(make_config(dir)).list_rounds(),
-            (std::vector<std::int64_t>{2, 3, 4}));
-
-  writes = 0;
-  state = -1;
-  const auto verdict = guard.end_of_round(
-      5, std::numeric_limits<double>::quiet_NaN(), params, save, load);
-  EXPECT_TRUE(verdict.rolled_back);
-  EXPECT_EQ(verdict.resume_round, 4);
-  EXPECT_EQ(state, 40);  // restored from round 4's archive
-  EXPECT_EQ(writes, 0);
+    if (rounds_run.size() <= 4) {
+      state = round * 10;
+      EXPECT_FALSE(guard.end_round(round, 1.0, params)) << "round " << round;
+      EXPECT_EQ(writes, 1) << "round " << round;
+      return false;
+    }
+    if (rounds_run.size() == 5) {
+      EXPECT_EQ(CheckpointManager(make_config(dir)).list_rounds(),
+                (std::vector<std::int64_t>{2, 3, 4}));
+      state = -1;
+      EXPECT_TRUE(guard.end_round(
+          round, std::numeric_limits<double>::quiet_NaN(), params));
+      EXPECT_EQ(state, 40);  // restored from round 4's archive
+      EXPECT_EQ(writes, 0);
+      return false;
+    }
+    return true;  // the replayed round: stop here
+  });
+  // A fresh start runs round 1 first; the rollback resumes after round 4,
+  // at half the learning rate.
+  EXPECT_EQ(rounds_run, (std::vector<std::int64_t>{1, 2, 3, 4, 5, 5}));
+  EXPECT_EQ(lr, 0.5);
 }
 
 // ---------------------------------------------------------- HealthMonitor --
@@ -906,6 +917,50 @@ TEST_F(TrainerFixture, DpFedAvgDivergenceRollbackKeepsParamsFinite) {
   EXPECT_TRUE(saw_rollback);
   for (const float v : nn::flatten_values(trainer.global_model().parameters()))
     EXPECT_TRUE(std::isfinite(v));
+}
+
+TEST_F(TrainerFixture, DpSgdDivergenceRollbackRecoversWithOrWithoutCheckpoints) {
+  // DP-SGD's epochs are guard rounds. This rate diverges at full and half
+  // strength and trains at a quarter: the guard must roll back, replay at
+  // the decayed rate, end with finite parameters, and restore the same
+  // state from the in-memory snapshot as from the archive on disk.
+  privacy::DpSgdConfig cfg;
+  cfg.epochs = 8;
+  cfg.lot_size = 32;
+  cfg.lr = 30.0;  // diverges
+  cfg.noise_multiplier = 1.0;
+  cfg.health.warmup_rounds = 0;
+  cfg.health.divergence_factor = 2.0;
+  cfg.health.max_rollbacks = 2;
+
+  const auto run = [&](const privacy::DpSgdConfig& c) {
+    Rng rng(3);
+    auto model = factory(rng);
+    const auto result = privacy::train_dp_sgd(*model, train_set, test_set, c);
+    return std::make_pair(result, nn::flatten_values(model->parameters()));
+  };
+
+  // The lots and the noise draw the same RNG stream at any rate, so a run
+  // that recovers takes exactly the steps of one that never tripped.
+  privacy::DpSgdConfig healthy = cfg;
+  healthy.lr = 0.1;
+  healthy.health.enabled = false;
+  const std::int64_t all_steps = run(healthy).first.steps;
+
+  privacy::DpSgdConfig on_disk_cfg = cfg;
+  on_disk_cfg.checkpoint.dir = dir;
+  const auto [memory, memory_params] = run(cfg);
+  const auto [on_disk, on_disk_params] = run(on_disk_cfg);
+  for (const auto& result : {memory, on_disk}) {
+    EXPECT_GT(result.rollbacks, 0);
+    EXPECT_LE(result.rollbacks, cfg.health.max_rollbacks);  // no give-up
+    EXPECT_EQ(result.steps, all_steps);
+  }
+  for (const float v : memory_params) EXPECT_TRUE(std::isfinite(v));
+  ASSERT_EQ(on_disk_params.size(), memory_params.size());
+  EXPECT_EQ(std::memcmp(on_disk_params.data(), memory_params.data(),
+                        memory_params.size() * sizeof(float)),
+            0);
 }
 
 TEST_F(TrainerFixture, HealthDisabledKeepsLegacyBehaviour) {

@@ -246,12 +246,14 @@ TEST(FederatedCommon, FullBatchGradientPopulatesGrads) {
 
 TEST(FederatedCommon, CommLedgerArithmetic) {
   CommLedger ledger;
-  ledger.dense_up(100);
-  ledger.dense_down(50);
-  ledger.sparse_up(10);
+  ledger.encoded_up(100 * 4, 150 * 4);  // 150 raw floats coded into 400 B
+  ledger.encoded_down(200, 50 * 4);     // 50 floats sent uncoded
+  ledger.wasted_up(10 * 8);             // a failed 10-coordinate upload
   EXPECT_EQ(ledger.bytes_up, 100 * 4 + 10 * 8);
   EXPECT_EQ(ledger.bytes_down, 200U);
   EXPECT_EQ(ledger.total(), ledger.bytes_up + ledger.bytes_down);
+  EXPECT_EQ(ledger.bytes_up_raw, 150 * 4 + 10 * 8);
+  EXPECT_EQ(ledger.bytes_down_raw, 200U);
 }
 
 }  // namespace
