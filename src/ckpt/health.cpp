@@ -45,7 +45,9 @@ Health HealthMonitor::check(std::optional<double> loss,
   }
 
   if (loss.has_value()) {
-    if (observed_ >= config_.warmup_rounds &&
+    // The first finite loss after a start or reset() is the baseline: with
+    // no EMA yet there is nothing to diverge from, whatever the warmup.
+    if (observed_ > 0 && observed_ >= config_.warmup_rounds &&
         *loss > ema_ * config_.divergence_factor + config_.divergence_slack) {
       MDL_OBS_COUNTER_ADD("health.divergence_trips", 1);
       return Health::kDiverged;

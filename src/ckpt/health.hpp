@@ -33,7 +33,8 @@ struct HealthConfig {
   double divergence_factor = 4.0;
   /// Absolute slack so near-zero losses cannot trip on noise.
   double divergence_slack = 1.0;
-  /// EMA observations required before the divergence guard arms.
+  /// EMA observations required before the divergence guard arms. The
+  /// first loss always sets the baseline, so 0 arms it from the second.
   std::int64_t warmup_rounds = 5;
   /// Rollbacks tolerated before the trainer gives up and stops at the
   /// last-good model.

@@ -67,7 +67,6 @@ class Int8Linear : public nn::Module {
   const std::vector<std::int8_t>& quantized_weights() const {
     return weights_;
   }
-  const std::vector<float>& row_scales() const { return row_scales_; }
   const std::vector<std::int32_t>& weight_row_sums() const {
     return row_sums_;
   }

@@ -5,7 +5,6 @@
 #include <sstream>
 #include <vector>
 
-#include "compress/sparse_matrix.hpp"
 #include "nn/activations.hpp"
 #include "nn/dropout.hpp"
 
@@ -87,22 +86,20 @@ void mask_pruned_gradients(nn::Module& model) {
 }
 
 PrunedLinear::PrunedLinear(const nn::Linear& linear)
-    : in_(linear.in_features()),
-      out_(linear.out_features()),
-      weight_(linear.weight().value),
+    : weight_(CsrMatrix::from_dense(linear.weight().value)),
       bias_(linear.has_bias() ? const_cast<nn::Linear&>(linear).bias().value
                               : Tensor({0})) {}
 
 Tensor PrunedLinear::forward(const Tensor& x) { return infer(x); }
 
 Tensor PrunedLinear::infer(const Tensor& x) const {
-  MDL_CHECK(x.ndim() == 2 && x.shape(1) == in_,
-            "PrunedLinear(" << in_ << "->" << out_ << ") got input "
-                            << x.shape_str());
-  // y^T = W @ x^T through the explicit zero-skip kernel; the transposes
-  // are exact copies, so this matches the dense Linear bit for bit.
-  Tensor yt = pruned_matmul(weight_, x.transposed());  // [out, B]
-  Tensor y = yt.transposed();                          // [B, out]
+  MDL_CHECK(x.ndim() == 2 && x.shape(1) == weight_.cols(),
+            "PrunedLinear(" << weight_.cols() << "->" << weight_.rows()
+                            << ") got input " << x.shape_str());
+  // y^T = W @ x^T over the stored non-zeros; the transposes are exact
+  // copies, so this matches the dense Linear bit for bit.
+  Tensor yt = weight_.matmul(x.transposed());  // [out, B]
+  Tensor y = yt.transposed();                  // [B, out]
   if (bias_.size() > 0) add_row_broadcast(y, bias_);
   return y;
 }
@@ -113,22 +110,24 @@ Tensor PrunedLinear::backward(const Tensor&) {
 
 std::string PrunedLinear::name() const {
   std::ostringstream os;
-  os << "PrunedLinear(" << in_ << "->" << out_ << ", "
+  os << "PrunedLinear(" << weight_.cols() << "->" << weight_.rows() << ", "
      << static_cast<int>(sparsity() * 100.0) << "% sparse)";
   return os.str();
 }
 
 std::int64_t PrunedLinear::flops_per_example() const {
-  // Effective flops: only surviving weights do work.
-  const auto nnz = static_cast<std::int64_t>(
-      static_cast<double>(in_ * out_) * (1.0 - sparsity()));
-  return 2 * nnz + bias_.size();
+  return 2 * weight_.nnz() + bias_.size();
 }
 
-double PrunedLinear::sparsity() const { return measure_sparsity(weight_); }
+double PrunedLinear::sparsity() const {
+  const std::int64_t total = weight_.rows() * weight_.cols();
+  return total == 0 ? 0.0
+                    : static_cast<double>(total - weight_.nnz()) /
+                          static_cast<double>(total);
+}
 
 std::uint64_t PrunedLinear::storage_bytes() const {
-  return CsrMatrix::from_dense(weight_).storage_bytes() +
+  return weight_.storage_bytes() +
          static_cast<std::uint64_t>(bias_.size()) * 4;
 }
 

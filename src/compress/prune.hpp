@@ -6,6 +6,7 @@
 #include <memory>
 #include <span>
 
+#include "compress/sparse_matrix.hpp"
 #include "core/tensor.hpp"
 #include "nn/linear.hpp"
 #include "nn/module.hpp"
@@ -31,10 +32,11 @@ double measure_model_sparsity(nn::Module& model);
 /// the optimizer step.
 void mask_pruned_gradients(nn::Module& model);
 
-/// Inference-only dense layer over pruned (dense-stored) weights, computed
-/// through compress::pruned_matmul — the explicit zero-skip entry point
-/// that replaced the branch the dense GEMM kernels used to carry. Output
-/// matches the source Linear's forward exactly on finite inputs.
+/// Inference-only layer over a pruned Linear's weight, stored and run as
+/// CSR: the non-zeros are gathered once at construction and every forward
+/// goes through CsrMatrix::matmul. Each output element is the same +0-seeded
+/// ascending-k chain as the dense product minus its zero terms, so the
+/// output matches the source Linear's forward exactly on finite inputs.
 /// backward() throws.
 class PrunedLinear : public nn::Module {
  public:
@@ -47,17 +49,16 @@ class PrunedLinear : public nn::Module {
   Tensor infer(const Tensor& x) const override;
   [[noreturn]] Tensor backward(const Tensor& grad_out) override;
   std::string name() const override;
+  /// Effective flops: one multiply-add per stored weight, plus the bias.
   std::int64_t flops_per_example() const override;
 
   double sparsity() const;
-  /// Deployable bytes if the weights ship in CSR (+ dense f32 bias).
+  /// Deployable bytes: the CSR weight plus the dense f32 bias.
   std::uint64_t storage_bytes() const;
 
  private:
-  std::int64_t in_;
-  std::int64_t out_;
-  Tensor weight_;  ///< [out, in], pruned, dense-stored
-  Tensor bias_;    ///< [out], empty if none
+  CsrMatrix weight_;  ///< [out, in], the pruned weight's non-zeros
+  Tensor bias_;       ///< [out], empty if none
 };
 
 /// Rebuilds a Sequential of Linear/activations with every Linear replaced

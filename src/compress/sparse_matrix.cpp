@@ -16,7 +16,7 @@ CsrMatrix CsrMatrix::from_dense(const Tensor& dense, float threshold) {
   for (std::int64_t i = 0; i < m.rows_; ++i) {
     for (std::int64_t j = 0; j < m.cols_; ++j) {
       const float v = dense[i * m.cols_ + j];
-      if (std::abs(v) > threshold) {
+      if (!(std::abs(v) <= threshold)) {
         m.values_.push_back(v);
         m.cols_idx_.push_back(static_cast<std::uint32_t>(j));
       }
@@ -80,61 +80,6 @@ std::uint64_t CsrMatrix::storage_bytes() const {
   return static_cast<std::uint64_t>(values_.size()) * 4 +
          static_cast<std::uint64_t>(cols_idx_.size()) * 4 +
          static_cast<std::uint64_t>(row_ptr_.size()) * 4;
-}
-
-bool CsrMatrix::worth_sparsifying(const Tensor& dense, double min_sparsity) {
-  MDL_CHECK(dense.ndim() == 2, "worth_sparsifying needs a 2-D tensor");
-  std::int64_t zeros = 0;
-  for (std::int64_t i = 0; i < dense.size(); ++i)
-    if (dense[i] == 0.0F) ++zeros;
-  return dense.size() > 0 &&
-         static_cast<double>(zeros) >=
-             min_sparsity * static_cast<double>(dense.size());
-}
-
-Tensor pruned_matmul(const Tensor& a, const Tensor& b) {
-  MDL_CHECK(a.ndim() == 2 && b.ndim() == 2 && a.shape(1) == b.shape(0),
-            "pruned_matmul shape mismatch " << a.shape_str() << " x "
-                                            << b.shape_str());
-  const std::int64_t m = a.shape(0);
-  const std::int64_t k = a.shape(1);
-  const std::int64_t n = b.shape(1);
-  Tensor c({m, n});
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = c.data();
-  for (std::int64_t i = 0; i < m; ++i) {
-    float* crow = po + i * n;
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const float aik = pa[i * k + kk];
-      if (aik == 0.0F) continue;  // the point of this entry point
-      const float* brow = pb + kk * n;
-      for (std::int64_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
-    }
-  }
-  return c;
-}
-
-Tensor pruned_matvec(const Tensor& a, const Tensor& x) {
-  MDL_CHECK(a.ndim() == 2 && x.ndim() == 1 && a.shape(1) == x.shape(0),
-            "pruned_matvec shape mismatch " << a.shape_str() << " x "
-                                            << x.shape_str());
-  const std::int64_t m = a.shape(0);
-  const std::int64_t k = a.shape(1);
-  Tensor y({m});
-  const float* pa = a.data();
-  const float* px = x.data();
-  for (std::int64_t i = 0; i < m; ++i) {
-    const float* arow = pa + i * k;
-    float acc = 0.0F;
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const float aik = arow[kk];
-      if (aik == 0.0F) continue;
-      acc += aik * px[kk];
-    }
-    y[i] = acc;
-  }
-  return y;
 }
 
 }  // namespace mdl::compress

@@ -1,7 +1,8 @@
 // Compressed Sparse Row matrices for pruned layers.
 //
 // After magnitude pruning (Han et al.), weight matrices become sparse; CSR
-// is the storage/compute format a mobile runtime would actually deploy.
+// is the storage/compute format a mobile runtime would actually deploy, and
+// the one compress::PrunedLinear stores and runs.
 // Provides dense<->CSR conversion, sparse matrix-vector and matrix-matrix
 // products, and exact storage accounting for the compression benches.
 #pragma once
@@ -19,7 +20,8 @@ class CsrMatrix {
   CsrMatrix() = default;
 
   /// Builds CSR from a dense 2-D tensor, dropping entries with
-  /// |value| <= threshold.
+  /// |value| <= threshold. NaN entries are kept, so a poisoned weight
+  /// poisons the product as it does the dense one.
   static CsrMatrix from_dense(const Tensor& dense, float threshold = 0.0F);
 
   Tensor to_dense() const;
@@ -30,11 +32,6 @@ class CsrMatrix {
   /// C = A @ B^T-free dense product: B is [cols, n] -> [rows, n].
   Tensor matmul(const Tensor& b) const;
 
-  /// True when converting `dense` to CSR and multiplying would beat the
-  /// dense kernel, i.e. the zero fraction clears `min_sparsity`.
-  static bool worth_sparsifying(const Tensor& dense,
-                                double min_sparsity = 0.5);
-
   std::int64_t rows() const { return rows_; }
   std::int64_t cols() const { return cols_; }
   std::int64_t nnz() const { return static_cast<std::int64_t>(values_.size()); }
@@ -44,10 +41,6 @@ class CsrMatrix {
   /// what a deployed sparse layer occupies.
   std::uint64_t storage_bytes() const;
 
-  const std::vector<float>& values() const { return values_; }
-  const std::vector<std::uint32_t>& col_indices() const { return cols_idx_; }
-  const std::vector<std::uint32_t>& row_ptr() const { return row_ptr_; }
-
  private:
   std::int64_t rows_ = 0;
   std::int64_t cols_ = 0;
@@ -55,17 +48,5 @@ class CsrMatrix {
   std::vector<std::uint32_t> cols_idx_;
   std::vector<std::uint32_t> row_ptr_;
 };
-
-/// C = A @ B for a dense-stored but magnitude-pruned A ([m,k] x [k,n]),
-/// skipping A's exact zeros. This is the zero-skip branch that used to sit
-/// inside the dense mdl::matmul kernels; it lives here now so dense GEMM is
-/// branch-free and the pruning path opts into sparsity explicitly. For an
-/// unpruned A this matches mdl::matmul bit for bit (skipping a zero term
-/// only differs on -0.0 / non-finite inputs, which pruned weights never
-/// contain).
-Tensor pruned_matmul(const Tensor& a, const Tensor& b);
-
-/// y = A @ x with the same zero-skip contract as pruned_matmul.
-Tensor pruned_matvec(const Tensor& a, const Tensor& x);
 
 }  // namespace mdl::compress

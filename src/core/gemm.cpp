@@ -252,7 +252,7 @@ Dims checked_dims(Op op, const Tensor& a, const Tensor& b, const Tensor& out) {
 void nn_rows(const float* pa, const float* pb, float* po, std::int64_t r0,
              std::int64_t r1, Dims d) {
   // i-k-j loop order: streams through B and C rows, cache friendly. No
-  // zero-skip branch — sparse weights go through compress::pruned_matmul.
+  // zero-skip branch — pruned weights run as a compress::CsrMatrix.
   for (std::int64_t i = r0; i < r1; ++i) {
     float* crow = po + i * d.n;
     for (std::int64_t kk = 0; kk < d.k; ++kk) {

@@ -173,8 +173,7 @@ std::ostream& operator<<(std::ostream& os, const Tensor& t);
 // simd; the default probes the CPU). naive and blocked are bit-identical to
 // each other at every thread count (MDL_THREADS); the AVX2 simd suite is
 // deterministic and batch-invariant but ULP-shifted (fma). Dense kernels
-// carry no zero-skip branch; pruned weights should use
-// compress::pruned_matmul or a CsrMatrix.
+// carry no zero-skip branch; pruned weights run as a compress::CsrMatrix.
 
 /// C = A @ B for 2-D tensors ([m,k] x [k,n] -> [m,n]).
 Tensor matmul(const Tensor& a, const Tensor& b);

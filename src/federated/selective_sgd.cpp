@@ -13,7 +13,19 @@ namespace mdl::federated {
 namespace {
 // v4: the shared RoundRunner prefix; older archives are refused.
 constexpr std::uint32_t kSelectiveSgdStateVersion = 4;
+
+/// Refills `order` with 0..n-1 and moves the k indices with the largest
+/// `key(i)` to its front, in nth_element's (unsorted) order.
+template <class Key>
+void select_top_k(std::vector<std::size_t>& order, std::size_t k, Key key) {
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::nth_element(order.begin(),
+                   order.begin() + static_cast<std::ptrdiff_t>(k - 1),
+                   order.end(), [&](std::size_t a, std::size_t b) {
+                     return key(a) > key(b);
+                   });
 }
+}  // namespace
 
 void SelectiveSGDTrainer::save_state(BinaryWriter& w) const {
   runner_.write_prefix(w, kSelectiveSgdStateVersion);
@@ -128,12 +140,8 @@ std::vector<RoundStats> SelectiveSGDTrainer::run(
       if (wire == nullptr) return raw;
       const std::size_t k = top_k(fraction);
       std::vector<std::size_t> order(p_count);
-      std::iota(order.begin(), order.end(), std::size_t{0});
-      std::nth_element(order.begin(),
-                       order.begin() + static_cast<std::ptrdiff_t>(k - 1),
-                       order.end(), [&](std::size_t a, std::size_t b) {
-                         return std::abs(global_[a]) > std::abs(global_[b]);
-                       });
+      select_top_k(order, k,
+                   [&](std::size_t i) { return std::abs(global_[i]); });
       std::sort(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(k));
       std::vector<std::pair<std::uint32_t, float>> coords;
       coords.reserve(k);
@@ -201,13 +209,8 @@ std::vector<RoundStats> SelectiveSGDTrainer::run(
             }
           } else {
             const std::size_t dl = top_k(config_.download_fraction);
-            std::iota(order.begin(), order.end(), std::size_t{0});
-            std::nth_element(
-                order.begin(),
-                order.begin() + static_cast<std::ptrdiff_t>(dl - 1),
-                order.end(), [&](std::size_t a, std::size_t b) {
-                  return v0[a] - seen[a] > v0[b] - seen[b];
-                });
+            select_top_k(order, dl,
+                         [&](std::size_t i) { return v0[i] - seen[i]; });
             for (std::size_t j = 0; j < dl; ++j) {
               const std::size_t i = order[j];
               local[i] = g0[i];
@@ -238,13 +241,8 @@ std::vector<RoundStats> SelectiveSGDTrainer::run(
             for (std::size_t i = 0; i < p_count; ++i)
               delta[i] = after[i] - local[i];
             const std::size_t ul = top_k(config_.upload_fraction);
-            std::iota(order.begin(), order.end(), std::size_t{0});
-            std::nth_element(
-                order.begin(),
-                order.begin() + static_cast<std::ptrdiff_t>(ul - 1),
-                order.end(), [&](std::size_t a, std::size_t b) {
-                  return std::abs(delta[a]) > std::abs(delta[b]);
-                });
+            select_top_k(order, ul,
+                         [&](std::size_t i) { return std::abs(delta[i]); });
             uploads[c].reserve(ul);
             for (std::size_t j = 0; j < ul; ++j) {
               const auto i = static_cast<std::uint32_t>(order[j]);

@@ -5,7 +5,6 @@
 
 #include "core/error.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace mdl::mobile {
 
@@ -55,7 +54,6 @@ double InferencePlanner::server_compute_s(std::int64_t flops) const {
 }
 
 CostEstimate InferencePlanner::on_device(std::int64_t flops) const {
-  MDL_OBS_SPAN("mobile.plan_on_device");
   MDL_OBS_COUNTER_ADD("mobile.plans_evaluated", 1);
   CostEstimate c;
   c.latency_s = device_compute_s(flops);
@@ -66,7 +64,6 @@ CostEstimate InferencePlanner::on_device(std::int64_t flops) const {
 CostEstimate InferencePlanner::on_cloud(std::uint64_t input_bytes,
                                         std::int64_t flops,
                                         std::uint64_t output_bytes) const {
-  MDL_OBS_SPAN("mobile.plan_on_cloud");
   MDL_OBS_COUNTER_ADD("mobile.plans_evaluated", 1);
   CostEstimate c;
   const double up = network_.upload_time_s(input_bytes);
@@ -84,7 +81,6 @@ CostEstimate InferencePlanner::split(std::int64_t local_flops,
                                      std::uint64_t rep_bytes,
                                      std::int64_t cloud_flops,
                                      std::uint64_t output_bytes) const {
-  MDL_OBS_SPAN("mobile.plan_split");
   MDL_OBS_COUNTER_ADD("mobile.plans_evaluated", 1);
   CostEstimate c;
   const double local = device_compute_s(local_flops);
@@ -138,7 +134,6 @@ DegradedSplitEstimate InferencePlanner::split_degraded(
     std::int64_t cloud_flops, std::uint64_t output_bytes,
     const RetryPolicy& retry, double fail_prob,
     std::int64_t fallback_flops) const {
-  MDL_OBS_SPAN("mobile.plan_split_degraded");
   retry.validate();
   MDL_CHECK(fail_prob >= 0.0 && fail_prob <= 1.0, "fail_prob must be in [0,1]");
   MDL_CHECK(fallback_flops >= 0, "fallback_flops must be >= 0");

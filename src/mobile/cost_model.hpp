@@ -122,7 +122,6 @@ class InferencePlanner {
   const DeviceProfile& device() const { return device_; }
   const DeviceProfile& server() const { return server_; }
   const NetworkModel& network() const { return network_; }
-  void set_network(NetworkModel network) { network_ = network; }
 
  private:
   double device_compute_s(std::int64_t flops) const;

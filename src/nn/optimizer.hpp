@@ -24,7 +24,6 @@ class Optimizer {
   void step();
 
   double lr() const { return lr_; }
-  void set_lr(double lr) { lr_ = lr; }
   const std::vector<Parameter*>& params() const { return params_; }
 
  protected:

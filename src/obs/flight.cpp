@@ -175,7 +175,6 @@ void FlightRecorder::emit(EventType type, const char* name,
   ring->busy.store(1, std::memory_order_seq_cst);
   if (draining_.load(std::memory_order_seq_cst)) {
     ring->busy.store(0, std::memory_order_release);
-    dropped_during_drain_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   const std::uint64_t head = ring->head.load(std::memory_order_relaxed);

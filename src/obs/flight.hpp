@@ -111,8 +111,7 @@ class FlightRecorder {
 
   /// Copies out every retained event, oldest-first per thread, merged and
   /// sorted by timestamp. Excludes concurrent writers via the drain
-  /// handshake; events emitted during the copy are dropped (counted by
-  /// dropped_during_drain()).
+  /// handshake; events emitted during the copy are dropped.
   std::vector<TraceEvent> drain_snapshot();
 
   /// Writes the full Chrome trace-event JSON document ({"traceEvents":[...]}).
@@ -126,10 +125,6 @@ class FlightRecorder {
 
   /// Events discarded because their thread's ring wrapped.
   std::uint64_t dropped_overwritten() const;
-  /// Events discarded because they arrived during a dump.
-  std::uint64_t dropped_during_drain() const {
-    return dropped_during_drain_.load(std::memory_order_relaxed);
-  }
   /// Total events currently retained across all rings.
   std::size_t retained() const;
   std::size_t capacity_per_thread() const { return capacity_; }
@@ -146,7 +141,6 @@ class FlightRecorder {
   std::uint64_t start_ns_ = 0;
   std::atomic<bool> enabled_{true};
   std::atomic<bool> draining_{false};
-  std::atomic<std::uint64_t> dropped_during_drain_{0};
   mutable std::mutex register_mu_;
   std::vector<std::unique_ptr<ThreadRing>> rings_;
 };

@@ -1,14 +1,9 @@
-// Minimal JSON support for the observability subsystem: value encoding for
-// RunLogger and the flight-recorder export, and a small recursive-descent
-// parser used by the round-trip tests (and by anything that wants to read
-// the emitted JSONL back). Numbers are stored as double; parse errors throw
-// mdl::Error.
+// JSON value encoding for the observability subsystem: RunLogger lines and
+// the flight-recorder export. Reading JSON back is test-only
+// (tests/support/json_reader.hpp).
 #pragma once
 
-#include <cstdint>
-#include <map>
 #include <string>
-#include <vector>
 
 namespace mdl::obs {
 
@@ -18,43 +13,5 @@ std::string json_escape(const std::string& s);
 /// Formats a double as a JSON token; non-finite values become `null` (JSON
 /// has no inf/nan). Integral values print without an exponent.
 std::string json_number(double v);
-
-/// Parsed JSON value (object keys are sorted; duplicates keep the last).
-class Json {
- public:
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-
-  /// Parses exactly one JSON value (trailing whitespace allowed).
-  static Json parse(const std::string& text);
-
-  Kind kind() const { return kind_; }
-  bool is_null() const { return kind_ == Kind::kNull; }
-  bool is_object() const { return kind_ == Kind::kObject; }
-  bool is_array() const { return kind_ == Kind::kArray; }
-
-  bool as_bool() const;
-  double as_number() const;
-  const std::string& as_string() const;
-
-  /// Array access.
-  std::size_t size() const;
-  const Json& at(std::size_t i) const;
-
-  /// Object access.
-  bool has(const std::string& key) const;
-  const Json& at(const std::string& key) const;
-  /// All key/value pairs of an object (sorted by key; throws otherwise).
-  const std::map<std::string, Json>& items() const;
-
- private:
-  Kind kind_ = Kind::kNull;
-  bool bool_ = false;
-  double number_ = 0.0;
-  std::string string_;
-  std::vector<Json> array_;
-  std::map<std::string, Json> object_;
-
-  friend class JsonParser;
-};
 
 }  // namespace mdl::obs

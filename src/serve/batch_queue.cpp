@@ -127,10 +127,4 @@ std::size_t BatchQueue::depth() const {
   return queue_.size();
 }
 
-std::size_t BatchQueue::depth_of(RequestKind kind) const {
-  std::lock_guard lock(mu_);
-  return static_cast<std::size_t>(
-      kind_depth_[static_cast<std::size_t>(kind)]);
-}
-
 }  // namespace mdl::serve

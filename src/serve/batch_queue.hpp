@@ -93,8 +93,6 @@ class BatchQueue {
   void resume();
 
   std::size_t depth() const;
-  /// Currently queued requests of one kind (admission bookkeeping).
-  std::size_t depth_of(RequestKind kind) const;
   const BatchQueueConfig& config() const { return config_; }
 
  private:

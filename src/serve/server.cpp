@@ -268,7 +268,7 @@ void InferenceServer::execute_batch(std::vector<PendingRequest> batch) {
   MDL_OBS_COUNTER_ADD("serve.batches", 1);
   MDL_OBS_GAUGE_SET("serve.batch_occupancy_last", static_cast<double>(b));
   observe_occupancy(b);
-  for (const PendingRequest& p : batch) {
+  for ([[maybe_unused]] const PendingRequest& p : batch) {
     MDL_OBS_ASYNC_END("serve.queue", p.request.request_id);
     MDL_OBS_RING_EVENT(obs::EventType::kAsyncBegin, "serve.exec",
                        p.request.request_id, "batch_size",

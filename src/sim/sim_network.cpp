@@ -152,7 +152,8 @@ RoundReport SimNetwork::run_round(std::int64_t round,
     // Real wall-clock begin/end around the exchange computation, tagged with
     // the (round, client) track; the *simulated* elapsed time and fault
     // outcome ride as args on the end event.
-    const std::uint64_t track = obs::track_round_client(round, client);
+    [[maybe_unused]] const std::uint64_t track =
+        obs::track_round_client(round, client);
     MDL_OBS_RING_BEGIN("sim.exchange", track);
     ClientExchange ex =
         simulate_exchange(round, client, bytes_down, bytes_up, local_compute_s);

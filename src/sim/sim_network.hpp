@@ -96,10 +96,6 @@ class SimNetwork {
   const mobile::DeviceProfile& device() const { return device_; }
   const FaultCounters& counters() const { return counters_; }
 
-  /// Zeroes the cumulative counters; the plan (and thus the fault schedule
-  /// of any given round) is unchanged.
-  void reset_counters() { counters_ = {}; }
-
  private:
   ClientExchange simulate_exchange(std::int64_t round, std::size_t client,
                                    std::uint64_t bytes_down,

@@ -17,7 +17,7 @@
 #include <string>
 
 #include "obs/flight.hpp"
-#include "obs/json.hpp"
+#include "json_reader.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 

@@ -12,7 +12,7 @@
 #include <fstream>
 #include <string>
 
-#include "obs/json.hpp"
+#include "json_reader.hpp"
 #include "obs/metrics.hpp"
 
 namespace mdl {

@@ -473,6 +473,28 @@ TEST(HealthMonitor, ResetForgetsBaseline) {
   EXPECT_EQ(hm.check(10.0, params), Health::kOk);
 }
 
+TEST(HealthMonitor, FirstLossSetsBaselineEvenWithoutWarmup) {
+  HealthConfig cfg;
+  cfg.warmup_rounds = 0;
+  cfg.divergence_factor = 2.0;
+  HealthMonitor hm(cfg);
+  const std::vector<float> params{0.0f};
+  // A normal 3-class starting loss is above the slack; with no EMA yet it
+  // sets the baseline instead of counting as divergence.
+  EXPECT_EQ(hm.check(1.257, params), Health::kOk);
+  EXPECT_EQ(hm.loss_ema(), 1.257);
+  EXPECT_EQ(hm.check(10.0, params), Health::kDiverged);
+  // After a rollback's reset() the next loss is the baseline again.
+  hm.reset();
+  EXPECT_EQ(hm.check(10.0, params), Health::kOk);
+  // Non-finite values still trip at once, with or without a baseline.
+  hm.reset();
+  EXPECT_EQ(hm.check(std::numeric_limits<double>::quiet_NaN(), params),
+            Health::kNonFinite);
+  const std::vector<float> bad{std::numeric_limits<float>::infinity()};
+  EXPECT_EQ(hm.check(1.0, bad), Health::kNonFinite);
+}
+
 // ------------------------------------------------- state component round-trips
 
 TEST(StateRoundTrip, RngResumesExactStream) {
@@ -920,14 +942,16 @@ TEST_F(TrainerFixture, DpFedAvgDivergenceRollbackKeepsParamsFinite) {
 }
 
 TEST_F(TrainerFixture, DpSgdDivergenceRollbackRecoversWithOrWithoutCheckpoints) {
-  // DP-SGD's epochs are guard rounds. This rate diverges at full and half
-  // strength and trains at a quarter: the guard must roll back, replay at
-  // the decayed rate, end with finite parameters, and restore the same
-  // state from the in-memory snapshot as from the archive on disk.
+  // DP-SGD's epochs are guard rounds. At this rate the epoch loss grows
+  // for three epochs and more than doubles in the third (about 17, 18, 41),
+  // which trips the guard; replayed at half the rate it falls instead. The
+  // guard must roll back, replay at the decayed rate, end with finite
+  // parameters, and restore the same state from the in-memory snapshot as
+  // from the archive on disk.
   privacy::DpSgdConfig cfg;
   cfg.epochs = 8;
   cfg.lot_size = 32;
-  cfg.lr = 30.0;  // diverges
+  cfg.lr = 60.0;  // diverges
   cfg.noise_multiplier = 1.0;
   cfg.health.warmup_rounds = 0;
   cfg.health.divergence_factor = 2.0;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <sstream>
 
@@ -140,39 +141,31 @@ TEST(Prune, GradientMaskKeepsZerosPruned) {
 // --------------------------------------------- sparse-aware entry points
 
 TEST(SparseEntry, PrunedMatmulMatchesDenseBitForBit) {
-  // The zero-skip branch moved out of the dense kernels into
-  // pruned_matmul; on pruned weights its output is still identical to the
-  // (now branch-free) dense kernel.
+  // Dense kernels carry no zero-skip branch; a pruned weight runs as CSR,
+  // and its product is still identical to the dense kernel's.
   ScalarChainGuard chain;
   Rng rng(40);
   Tensor a = Tensor::randn({13, 21}, rng);
   prune_by_magnitude(a, 0.6);
   const Tensor b = Tensor::randn({21, 9}, rng);
   const Tensor dense = matmul(a, b);
-  const Tensor sparse = pruned_matmul(a, b);
+  const Tensor sparse = CsrMatrix::from_dense(a).matmul(b);
   ASSERT_TRUE(sparse.same_shape(dense));
   for (std::int64_t i = 0; i < dense.size(); ++i)
     EXPECT_EQ(sparse[i], dense[i]) << "element " << i;
 }
 
 TEST(SparseEntry, PrunedMatvecMatchesDenseBitForBit) {
+  ScalarChainGuard chain;
   Rng rng(41);
   Tensor a = Tensor::randn({17, 23}, rng);
   prune_by_magnitude(a, 0.7);
   const Tensor x = Tensor::randn({23}, rng);
   const Tensor dense = matvec(a, x);
-  const Tensor sparse = pruned_matvec(a, x);
+  const Tensor sparse = CsrMatrix::from_dense(a).matvec(x);
+  ASSERT_TRUE(sparse.same_shape(dense));
   for (std::int64_t i = 0; i < dense.size(); ++i)
-    EXPECT_EQ(sparse[i], dense[i]);
-}
-
-TEST(SparseEntry, WorthSparsifyingThreshold) {
-  Rng rng(42);
-  Tensor dense = Tensor::randn({10, 10}, rng);
-  EXPECT_FALSE(CsrMatrix::worth_sparsifying(dense));
-  prune_by_magnitude(dense, 0.8);
-  EXPECT_TRUE(CsrMatrix::worth_sparsifying(dense));
-  EXPECT_FALSE(CsrMatrix::worth_sparsifying(dense, 0.9));
+    EXPECT_EQ(sparse[i], dense[i]) << "element " << i;
 }
 
 TEST(SparseEntry, PrunedLinearMatchesDenseForward) {
@@ -190,6 +183,19 @@ TEST(SparseEntry, PrunedLinearMatchesDenseForward) {
   EXPECT_TRUE(allclose(got, want, 0.0F));  // bit-exact
   EXPECT_THROW(sparse.backward(Tensor({5, 6})), Error);
   EXPECT_THROW(sparse.forward(Tensor({5, 13})), Error);
+}
+
+TEST(SparseEntry, PrunedLinearKeepsNaNWeights) {
+  Rng rng(45);
+  nn::Linear dense(4, 3, rng);
+  dense.weight().value[5] = std::numeric_limits<float>::quiet_NaN();  // (1,1)
+  const PrunedLinear sparse(dense);
+  const Tensor y = sparse.infer(Tensor::randn({2, 4}, rng));
+  for (std::int64_t b = 0; b < 2; ++b) {
+    EXPECT_TRUE(std::isnan(y.at(b, 1)));
+    EXPECT_TRUE(std::isfinite(y.at(b, 0)));
+    EXPECT_TRUE(std::isfinite(y.at(b, 2)));
+  }
 }
 
 TEST(SparseEntry, SparseDeployMlpMatchesSource) {

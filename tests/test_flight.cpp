@@ -18,7 +18,7 @@
 #include <thread>
 #include <vector>
 
-#include "obs/json.hpp"
+#include "json_reader.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
 #include "obs/trace.hpp"

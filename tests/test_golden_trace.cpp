@@ -25,7 +25,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/json.hpp"
+#include "json_reader.hpp"
 
 namespace mdl {
 namespace {

@@ -9,6 +9,7 @@
 
 #include "core/error.hpp"
 #include "core/threadpool.hpp"
+#include "json_reader.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_logger.hpp"
