@@ -18,6 +18,7 @@
 #include "data/synthetic.hpp"
 #include "federated/common.hpp"
 #include "nn/activations.hpp"
+#include "nn/optimizer.hpp"
 
 namespace {
 
@@ -27,26 +28,18 @@ using namespace mdl;
 void finetune_pruned(nn::Sequential& model, const data::TabularDataset& train,
                      std::int64_t epochs, std::uint64_t seed) {
   nn::SoftmaxCrossEntropy loss;
+  nn::SGD optimizer(model.parameters(), 0.05);
   Rng rng(seed);
   for (std::int64_t e = 0; e < epochs; ++e) {
     const auto batches = data::minibatch_indices(
         static_cast<std::size_t>(train.size()), 32, rng);
     for (const auto& batch : batches) {
-      Tensor xb({static_cast<std::int64_t>(batch.size()), train.dim()});
-      std::vector<std::int64_t> yb(batch.size());
-      for (std::size_t r = 0; r < batch.size(); ++r) {
-        xb.set_row(static_cast<std::int64_t>(r),
-                   train.features.row(static_cast<std::int64_t>(batch[r])));
-        yb[r] = train.labels[batch[r]];
-      }
-      loss.forward(model.forward(xb), yb);
+      const data::TabularDataset b = train.subset(batch);
+      loss.forward(model.forward(b.features), b.labels);
       model.zero_grad();
       model.backward(loss.backward());
       compress::mask_pruned_gradients(model);
-      for (nn::Parameter* p : model.parameters()) {
-        p->value.add_scaled_(p->grad, -0.05F);
-        p->grad.zero();
-      }
+      optimizer.step();
     }
   }
 }

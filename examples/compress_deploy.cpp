@@ -15,6 +15,7 @@
 #include "data/synthetic.hpp"
 #include "federated/common.hpp"
 #include "mobile/cost_model.hpp"
+#include "nn/optimizer.hpp"
 
 int main() {
   using namespace mdl;
@@ -44,26 +45,18 @@ int main() {
   // Stage 1: prune 80% of weights, then fine-tune with the mask held.
   compress::prune_model(*model, 0.8);
   nn::SoftmaxCrossEntropy loss;
+  nn::SGD optimizer(model->parameters(), 0.05);
   Rng ft_rng(53);
   for (int epoch = 0; epoch < 5; ++epoch) {
     const auto batches = data::minibatch_indices(
         static_cast<std::size_t>(split.train.size()), 32, ft_rng);
     for (const auto& batch : batches) {
-      Tensor xb({static_cast<std::int64_t>(batch.size()), 32});
-      std::vector<std::int64_t> yb(batch.size());
-      for (std::size_t r = 0; r < batch.size(); ++r) {
-        xb.set_row(static_cast<std::int64_t>(r),
-                   split.train.features.row(
-                       static_cast<std::int64_t>(batch[r])));
-        yb[r] = split.train.labels[batch[r]];
-      }
-      loss.forward(model->forward(xb), yb);
+      const data::TabularDataset b = split.train.subset(batch);
+      loss.forward(model->forward(b.features), b.labels);
       model->zero_grad();
       model->backward(loss.backward());
       compress::mask_pruned_gradients(*model);
-      for (nn::Parameter* p : model->parameters())
-        p->value.add_scaled_(p->grad, -0.05F);
-      for (nn::Parameter* p : model->parameters()) p->grad.zero();
+      optimizer.step();
     }
   }
   table.begin_row()

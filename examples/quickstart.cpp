@@ -45,15 +45,8 @@ int main() {
     const auto batches = data::minibatch_indices(
         static_cast<std::size_t>(split.train.size()), 64, rng);
     for (const auto& batch : batches) {
-      Tensor xb({static_cast<std::int64_t>(batch.size()), dataset.dim()});
-      std::vector<std::int64_t> yb(batch.size());
-      for (std::size_t r = 0; r < batch.size(); ++r) {
-        xb.set_row(static_cast<std::int64_t>(r),
-                   split.train.features.row(
-                       static_cast<std::int64_t>(batch[r])));
-        yb[r] = split.train.labels[batch[r]];
-      }
-      epoch_loss += loss.forward(model.forward(xb), yb);
+      const data::TabularDataset b = split.train.subset(batch);
+      epoch_loss += loss.forward(model.forward(b.features), b.labels);
       model.zero_grad();
       model.backward(loss.backward());
       optimizer.step();

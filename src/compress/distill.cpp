@@ -2,6 +2,7 @@
 
 #include "core/random.hpp"
 #include "federated/common.hpp"
+#include "nn/optimizer.hpp"
 
 namespace mdl::compress {
 
@@ -19,8 +20,7 @@ double distill(nn::Sequential& teacher, nn::Sequential& student,
   Rng rng(config.seed);
   nn::DistillationLoss loss(config.temperature, config.alpha);
   student.set_training(true);
-  const std::int64_t d = train.dim();
-  const std::int64_t c = teacher_logits.shape(1);
+  nn::SGD optimizer(student.parameters(), config.lr);
 
   for (std::int64_t epoch = 0; epoch < config.epochs; ++epoch) {
     const auto batches =
@@ -28,22 +28,12 @@ double distill(nn::Sequential& teacher, nn::Sequential& student,
                                 static_cast<std::size_t>(config.batch_size),
                                 rng);
     for (const auto& batch : batches) {
-      Tensor xb({static_cast<std::int64_t>(batch.size()), d});
-      Tensor tb({static_cast<std::int64_t>(batch.size()), c});
-      std::vector<std::int64_t> yb(batch.size());
-      for (std::size_t r = 0; r < batch.size(); ++r) {
-        xb.set_row(static_cast<std::int64_t>(r),
-                   train.features.row(static_cast<std::int64_t>(batch[r])));
-        tb.set_row(static_cast<std::int64_t>(r),
-                   teacher_logits.row(static_cast<std::int64_t>(batch[r])));
-        yb[r] = train.labels[batch[r]];
-      }
-      const Tensor logits = student.forward(xb);
-      loss.forward(logits, tb, yb);
+      const data::TabularDataset b = train.subset(batch);
+      loss.forward(student.forward(b.features),
+                   teacher_logits.gather_rows(batch), b.labels);
       student.zero_grad();
       student.backward(loss.backward());
-      for (nn::Parameter* p : student.parameters())
-        p->value.add_scaled_(p->grad, static_cast<float>(-config.lr));
+      optimizer.step();
     }
   }
   return federated::evaluate_accuracy(student, test);

@@ -4,9 +4,8 @@
 #include <cmath>
 #include <sstream>
 
+#include "compress/rebuild.hpp"
 #include "core/gemm.hpp"
-#include "nn/activations.hpp"
-#include "nn/dropout.hpp"
 
 namespace mdl::compress {
 
@@ -141,25 +140,10 @@ Tensor Int8Linear::dequantized_weight() const {
 }
 
 std::unique_ptr<nn::Sequential> int8_quantize_mlp(nn::Sequential& model) {
-  auto out = std::make_unique<nn::Sequential>();
-  for (std::size_t i = 0; i < model.size(); ++i) {
-    nn::Module& layer = model.layer(i);
-    if (auto* lin = dynamic_cast<nn::Linear*>(&layer)) {
-      out->append(std::make_unique<Int8Linear>(*lin));
-    } else if (dynamic_cast<nn::ReLU*>(&layer) != nullptr) {
-      out->emplace<nn::ReLU>();
-    } else if (dynamic_cast<nn::Sigmoid*>(&layer) != nullptr) {
-      out->emplace<nn::Sigmoid>();
-    } else if (dynamic_cast<nn::Tanh*>(&layer) != nullptr) {
-      out->emplace<nn::Tanh>();
-    } else if (dynamic_cast<nn::Dropout*>(&layer) != nullptr) {
-      // Dropout is identity at inference; drop it from the deployed graph.
-    } else {
-      MDL_FAIL("int8_quantize_mlp cannot rebuild layer " << layer.name());
-    }
-  }
-  out->set_training(false);
-  return out;
+  return detail::rebuild_mlp(
+      model, "int8_quantize_mlp", [](nn::Linear& lin, nn::Sequential& out) {
+        out.append(std::make_unique<Int8Linear>(lin));
+      });
 }
 
 }  // namespace mdl::compress

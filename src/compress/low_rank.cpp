@@ -5,8 +5,7 @@
 #include <numeric>
 #include <vector>
 
-#include "nn/activations.hpp"
-#include "nn/dropout.hpp"
+#include "compress/rebuild.hpp"
 
 namespace mdl::compress {
 
@@ -140,39 +139,27 @@ std::unique_ptr<nn::Sequential> low_rank_factorize_mlp(nn::Sequential& model,
                                                        std::int64_t rank,
                                                        Rng& rng) {
   MDL_CHECK(rank > 0, "rank must be positive");
-  auto out = std::make_unique<nn::Sequential>();
-  for (std::size_t i = 0; i < model.size(); ++i) {
-    nn::Module& layer = model.layer(i);
-    if (auto* lin = dynamic_cast<nn::Linear*>(&layer)) {
-      const std::int64_t in_f = lin->in_features();
-      const std::int64_t out_f = lin->out_features();
-      if (std::min(in_f, out_f) <= rank) {
-        // Not worth factorizing; copy as-is.
-        auto& copy = out->emplace<nn::Linear>(in_f, out_f, rng,
-                                              lin->has_bias());
-        copy.weight().value = lin->weight().value;
-        if (lin->has_bias()) copy.bias().value = lin->bias().value;
-        continue;
-      }
-      auto [b, a] = factorize_weight(lin->weight().value, rank);
-      auto& first = out->emplace<nn::Linear>(in_f, rank, rng, false);
-      first.weight().value = std::move(a);
-      auto& second =
-          out->emplace<nn::Linear>(rank, out_f, rng, lin->has_bias());
-      second.weight().value = std::move(b);
-      if (lin->has_bias()) second.bias().value = lin->bias().value;
-    } else if (dynamic_cast<nn::ReLU*>(&layer) != nullptr) {
-      out->emplace<nn::ReLU>();
-    } else if (dynamic_cast<nn::Sigmoid*>(&layer) != nullptr) {
-      out->emplace<nn::Sigmoid>();
-    } else if (dynamic_cast<nn::Tanh*>(&layer) != nullptr) {
-      out->emplace<nn::Tanh>();
-    } else {
-      MDL_FAIL("low_rank_factorize_mlp cannot rebuild layer "
-               << layer.name());
-    }
-  }
-  return out;
+  return detail::rebuild_mlp(
+      model, "low_rank_factorize_mlp",
+      [&](nn::Linear& lin, nn::Sequential& out) {
+        const std::int64_t in_f = lin.in_features();
+        const std::int64_t out_f = lin.out_features();
+        if (std::min(in_f, out_f) <= rank) {
+          // Not worth factorizing; copy as-is.
+          auto& copy =
+              out.emplace<nn::Linear>(in_f, out_f, rng, lin.has_bias());
+          copy.weight().value = lin.weight().value;
+          if (lin.has_bias()) copy.bias().value = lin.bias().value;
+          return;
+        }
+        auto [b, a] = factorize_weight(lin.weight().value, rank);
+        auto& first = out.emplace<nn::Linear>(in_f, rank, rng, false);
+        first.weight().value = std::move(a);
+        auto& second =
+            out.emplace<nn::Linear>(rank, out_f, rng, lin.has_bias());
+        second.weight().value = std::move(b);
+        if (lin.has_bias()) second.bias().value = lin.bias().value;
+      });
 }
 
 std::int64_t low_rank_param_count(std::int64_t out, std::int64_t in,

@@ -5,8 +5,7 @@
 #include <sstream>
 #include <vector>
 
-#include "nn/activations.hpp"
-#include "nn/dropout.hpp"
+#include "compress/rebuild.hpp"
 
 namespace mdl::compress {
 
@@ -132,25 +131,10 @@ std::uint64_t PrunedLinear::storage_bytes() const {
 }
 
 std::unique_ptr<nn::Sequential> sparse_deploy_mlp(nn::Sequential& model) {
-  auto out = std::make_unique<nn::Sequential>();
-  for (std::size_t i = 0; i < model.size(); ++i) {
-    nn::Module& layer = model.layer(i);
-    if (auto* lin = dynamic_cast<nn::Linear*>(&layer)) {
-      out->append(std::make_unique<PrunedLinear>(*lin));
-    } else if (dynamic_cast<nn::ReLU*>(&layer) != nullptr) {
-      out->emplace<nn::ReLU>();
-    } else if (dynamic_cast<nn::Sigmoid*>(&layer) != nullptr) {
-      out->emplace<nn::Sigmoid>();
-    } else if (dynamic_cast<nn::Tanh*>(&layer) != nullptr) {
-      out->emplace<nn::Tanh>();
-    } else if (dynamic_cast<nn::Dropout*>(&layer) != nullptr) {
-      // Dropout is identity at inference; drop it from the deployed graph.
-    } else {
-      MDL_FAIL("sparse_deploy_mlp cannot rebuild layer " << layer.name());
-    }
-  }
-  out->set_training(false);
-  return out;
+  return detail::rebuild_mlp(
+      model, "sparse_deploy_mlp", [](nn::Linear& lin, nn::Sequential& out) {
+        out.append(std::make_unique<PrunedLinear>(lin));
+      });
 }
 
 }  // namespace mdl::compress

@@ -20,6 +20,15 @@ namespace mdl {
 class BinaryReader;
 class BinaryWriter;
 
+/// splitmix64's finalizer, a bijective 64-bit mixer. Seeds Rng and keys
+/// independent, replayable streams off (seed, index, salt) tuples; each
+/// caller combines its key words with its own constants.
+constexpr std::uint64_t mix64(std::uint64_t x) {
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+
 /// xoshiro256** PRNG with distribution helpers. Copyable; copies evolve
 /// independently.
 class Rng {

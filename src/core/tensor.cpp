@@ -170,13 +170,18 @@ Tensor Tensor::row(std::int64_t i) const {
   return slice_rows(i, i + 1).reshape({shape_[1]});
 }
 
-void Tensor::set_row(std::int64_t i, const Tensor& src) {
-  MDL_CHECK(ndim() == 2, "set_row requires 2-D, got " << shape_str());
-  MDL_CHECK(i >= 0 && i < shape_[0], "row " << i << " out of range");
-  MDL_CHECK(src.size() == shape_[1],
-            "row length " << src.size() << " vs " << shape_[1]);
-  std::copy(src.data_.begin(), src.data_.end(),
-            data_.begin() + static_cast<std::ptrdiff_t>(i * shape_[1]));
+Tensor Tensor::gather_rows(std::span<const std::size_t> rows) const {
+  MDL_CHECK(ndim() == 2, "gather_rows requires 2-D, got " << shape_str());
+  const std::int64_t c = shape_[1];
+  Tensor out({static_cast<std::int64_t>(rows.size()), c});
+  auto dst = out.data_.begin();
+  for (const std::size_t r : rows) {
+    MDL_CHECK(r < static_cast<std::size_t>(shape_[0]),
+              "row " << r << " out of range for " << shape_str());
+    std::copy_n(data_.begin() + static_cast<std::ptrdiff_t>(r) * c, c, dst);
+    dst += c;
+  }
+  return out;
 }
 
 Tensor Tensor::time_step(std::int64_t t) const {

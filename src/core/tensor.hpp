@@ -97,8 +97,9 @@ class Tensor {
   /// Row `i` of a 2-D tensor as a 1-D tensor (copies).
   Tensor row(std::int64_t i) const;
 
-  /// Copies `src` (1-D, length cols) into row i of this 2-D tensor.
-  void set_row(std::int64_t i, const Tensor& src);
+  /// Rows `rows[0], rows[1], ...` of a 2-D tensor as a [rows.size(), cols]
+  /// tensor (copies; indices may repeat). Throws on an out-of-range index.
+  Tensor gather_rows(std::span<const std::size_t> rows) const;
 
   /// Time-step `t` of a [T, B, F] tensor as a [B, F] tensor (copies).
   Tensor time_step(std::int64_t t) const;

@@ -10,14 +10,9 @@ TabularDataset TabularDataset::subset(
     std::span<const std::size_t> indices) const {
   TabularDataset out;
   out.num_classes = num_classes;
-  out.features = Tensor({static_cast<std::int64_t>(indices.size()), dim()});
+  out.features = features.gather_rows(indices);
   out.labels.reserve(indices.size());
-  for (std::size_t r = 0; r < indices.size(); ++r) {
-    const auto i = static_cast<std::int64_t>(indices[r]);
-    MDL_CHECK(i < size(), "subset index " << i << " out of range");
-    out.features.set_row(static_cast<std::int64_t>(r), features.row(i));
-    out.labels.push_back(labels[indices[r]]);
-  }
+  for (const std::size_t i : indices) out.labels.push_back(labels[i]);
   return out;
 }
 

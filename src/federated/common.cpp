@@ -8,6 +8,8 @@
 #include "nn/activations.hpp"
 #include "nn/linear.hpp"
 #include "nn/loss.hpp"
+#include "nn/metrics.hpp"
+#include "nn/optimizer.hpp"
 
 namespace mdl::federated {
 
@@ -69,45 +71,27 @@ ModelFactory mlp_factory(std::int64_t in_features, std::int64_t hidden,
   };
 }
 
-namespace {
-
-/// One SGD step on a batch of rows; returns the batch loss.
-double sgd_step(nn::Sequential& model, const data::TabularDataset& shard,
-                std::span<const std::size_t> batch, double lr) {
-  const std::int64_t d = shard.dim();
-  Tensor xb({static_cast<std::int64_t>(batch.size()), d});
-  std::vector<std::int64_t> yb(batch.size());
-  for (std::size_t r = 0; r < batch.size(); ++r) {
-    xb.set_row(static_cast<std::int64_t>(r),
-               shard.features.row(static_cast<std::int64_t>(batch[r])));
-    yb[r] = shard.labels[batch[r]];
-  }
-  nn::SoftmaxCrossEntropy loss;
-  const Tensor logits = model.forward(xb);
-  const double l = loss.forward(logits, yb);
-  model.zero_grad();
-  model.backward(loss.backward());
-  const auto params = model.parameters();
-  for (nn::Parameter* p : params)
-    p->value.add_scaled_(p->grad, static_cast<float>(-lr));
-  return l;
-}
-
-}  // namespace
-
 double local_sgd(nn::Sequential& model, const data::TabularDataset& shard,
                  std::int64_t epochs, std::int64_t batch_size, double lr,
                  Rng& rng) {
   MDL_CHECK(shard.size() > 0, "empty shard");
   MDL_CHECK(epochs > 0 && batch_size > 0 && lr > 0.0, "invalid SGD config");
   model.set_training(true);
+  nn::SGD optimizer(model.parameters(), lr);
+  nn::SoftmaxCrossEntropy loss;
   double last_epoch_loss = 0.0;
   for (std::int64_t e = 0; e < epochs; ++e) {
     const auto batches =
         data::minibatch_indices(static_cast<std::size_t>(shard.size()),
                                 static_cast<std::size_t>(batch_size), rng);
     double sum = 0.0;
-    for (const auto& batch : batches) sum += sgd_step(model, shard, batch, lr);
+    for (const auto& batch : batches) {
+      const data::TabularDataset b = shard.subset(batch);
+      sum += loss.forward(model.forward(b.features), b.labels);
+      model.zero_grad();
+      model.backward(loss.backward());
+      optimizer.step();
+    }
     last_epoch_loss = sum / static_cast<double>(batches.size());
   }
   return last_epoch_loss;
@@ -131,11 +115,7 @@ double evaluate_accuracy(nn::Sequential& model,
   model.set_training(false);
   const Tensor logits = model.forward(ds.features);
   model.set_training(true);
-  const auto pred = logits.argmax_rows();
-  std::size_t correct = 0;
-  for (std::size_t i = 0; i < pred.size(); ++i)
-    if (pred[i] == ds.labels[i]) ++correct;
-  return static_cast<double>(correct) / static_cast<double>(pred.size());
+  return nn::accuracy(ds.labels, logits.argmax_rows());
 }
 
 std::vector<std::size_t> sample_cohort(Rng& rng, std::size_t n,

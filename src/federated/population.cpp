@@ -3,23 +3,13 @@
 #include <cmath>
 
 #include "core/error.hpp"
+#include "core/random.hpp"
 
 namespace mdl::federated {
 
 namespace {
 
-/// splitmix64-style finalizer used to key independent streams off
-/// (population_seed, client, salt) triples — same mixing idiom as
-/// sim::FaultPlan's per-(seed, round, client) fault draws.
-std::uint64_t mix64(std::uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ULL;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBULL;
-  x ^= x >> 31;
-  return x;
-}
-
+/// Keys independent streams off (population_seed, client, salt) triples.
 std::uint64_t mix(std::uint64_t a, std::uint64_t b) {
   return mix64(a + 0x9E3779B97F4A7C15ULL * (b + 0x632BE59BD9B4E019ULL));
 }

@@ -61,10 +61,7 @@ void LogisticRegression::fit(const data::TabularDataset& train) {
       const double lr =
           config_.learning_rate / std::sqrt(static_cast<double>(t_step));
       // Gradient of mean CE: (softmax - onehot)^T x / B + l2 * W.
-      Tensor xb({static_cast<std::int64_t>(batch.size()), d1});
-      for (std::size_t r = 0; r < batch.size(); ++r)
-        xb.set_row(static_cast<std::int64_t>(r),
-                   x.row(static_cast<std::int64_t>(batch[r])));
+      const Tensor xb = x.gather_rows(batch);
       Tensor logits = matmul_nt(xb, weights_);
       Tensor probs = nn::softmax_rows(logits);
       const float inv_b = 1.0F / static_cast<float>(batch.size());

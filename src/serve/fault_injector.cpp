@@ -7,16 +7,6 @@ namespace mdl::serve {
 
 namespace {
 
-/// splitmix64 finalizer (same mixer as sim::SimNetwork's exchange keys).
-std::uint64_t mix(std::uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ULL;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBULL;
-  x ^= x >> 31;
-  return x;
-}
-
 /// Independent stream per (seed, request, fault kind): mixing the kind salt
 /// in keeps "does it fail" uncorrelated with "does it stall".
 enum class FaultKind : std::uint64_t {
@@ -26,9 +16,9 @@ enum class FaultKind : std::uint64_t {
 };
 
 Rng fault_rng(std::uint64_t seed, std::uint64_t request_id, FaultKind kind) {
-  std::uint64_t k = mix(seed + 0x9E3779B97F4A7C15ULL);
-  k = mix(k ^ (request_id * 0xD1B54A32D192ED03ULL));
-  k = mix(k ^ static_cast<std::uint64_t>(kind));
+  std::uint64_t k = mix64(seed + 0x9E3779B97F4A7C15ULL);
+  k = mix64(k ^ (request_id * 0xD1B54A32D192ED03ULL));
+  k = mix64(k ^ static_cast<std::uint64_t>(kind));
   return Rng(k);
 }
 

@@ -25,22 +25,13 @@ const char* to_string(Outcome o) {
 
 namespace {
 
-/// splitmix64 finalizer: decorrelates the (seed, round, client) key so each
-/// exchange gets an independent, replayable stream.
-std::uint64_t mix(std::uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ULL;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBULL;
-  x ^= x >> 31;
-  return x;
-}
-
+/// Decorrelates the (seed, round, client) key so each exchange gets an
+/// independent, replayable stream.
 std::uint64_t exchange_key(std::uint64_t seed, std::int64_t round,
                            std::size_t client) {
-  std::uint64_t k = mix(seed + 0x9E3779B97F4A7C15ULL);
-  k = mix(k ^ (static_cast<std::uint64_t>(round) * 0xD1B54A32D192ED03ULL));
-  k = mix(k ^ (static_cast<std::uint64_t>(client) * 0x8CB92BA72F3D8DD7ULL));
+  std::uint64_t k = mix64(seed + 0x9E3779B97F4A7C15ULL);
+  k = mix64(k ^ (static_cast<std::uint64_t>(round) * 0xD1B54A32D192ED03ULL));
+  k = mix64(k ^ (static_cast<std::uint64_t>(client) * 0x8CB92BA72F3D8DD7ULL));
   return k;
 }
 

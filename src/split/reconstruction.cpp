@@ -33,18 +33,11 @@ ReconstructionReport reconstruction_attack(
         static_cast<std::size_t>(attacker_data.size()),
         static_cast<std::size_t>(config.batch_size), rng);
     for (const auto& batch : batches) {
-      Tensor reps({static_cast<std::int64_t>(batch.size()), rep_dim});
-      Tensor targets({static_cast<std::int64_t>(batch.size()), input_dim});
-      for (std::size_t r = 0; r < batch.size(); ++r) {
-        reps.set_row(static_cast<std::int64_t>(r),
-                     clean_rep.row(static_cast<std::int64_t>(batch[r])));
-        targets.set_row(
-            static_cast<std::int64_t>(r),
-            attacker_data.features.row(static_cast<std::int64_t>(batch[r])));
-      }
       // The attacker only ever sees what the phone transmits.
-      reps = system.perturb(reps, perturb, rng);
-      mse.forward(decoder.forward(reps), targets);
+      const Tensor reps =
+          system.perturb(clean_rep.gather_rows(batch), perturb, rng);
+      mse.forward(decoder.forward(reps),
+                  attacker_data.features.gather_rows(batch));
       decoder.zero_grad();
       decoder.backward(mse.backward());
       optimizer.step();

@@ -1,6 +1,8 @@
 #include "split/split_inference.hpp"
 
 #include "nn/loss.hpp"
+#include "nn/metrics.hpp"
+#include "nn/optimizer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -72,11 +74,7 @@ std::vector<std::int64_t> SplitInference::predict(const Tensor& x,
 
 double SplitInference::evaluate(const data::TabularDataset& ds,
                                 const PerturbConfig& config, Rng& rng) {
-  const auto pred = predict(ds.features, config, rng);
-  std::size_t correct = 0;
-  for (std::size_t i = 0; i < pred.size(); ++i)
-    if (pred[i] == ds.labels[i]) ++correct;
-  return static_cast<double>(correct) / static_cast<double>(pred.size());
+  return nn::accuracy(ds.labels, predict(ds.features, config, rng));
 }
 
 double SplitInference::train_cloud(const data::TabularDataset& train,
@@ -90,8 +88,10 @@ double SplitInference::train_cloud(const data::TabularDataset& train,
 
   // Clean representations are deterministic (frozen local part): compute
   // once; noisy training re-perturbs per minibatch.
-  const Tensor clean_rep = local_representation(train.features);
+  const data::TabularDataset clean{local_representation(train.features),
+                                   train.labels, train.num_classes};
   cloud_->set_training(true);
+  nn::SGD optimizer(cloud_->parameters(), lr);
   nn::SoftmaxCrossEntropy loss;
   double last_loss = 0.0;
 
@@ -101,20 +101,12 @@ double SplitInference::train_cloud(const data::TabularDataset& train,
                                 static_cast<std::size_t>(batch_size), rng);
     double sum = 0.0;
     for (const auto& batch : batches) {
-      Tensor rb({static_cast<std::int64_t>(batch.size()), clean_rep.shape(1)});
-      std::vector<std::int64_t> yb(batch.size());
-      for (std::size_t r = 0; r < batch.size(); ++r) {
-        rb.set_row(static_cast<std::int64_t>(r),
-                   clean_rep.row(static_cast<std::int64_t>(batch[r])));
-        yb[r] = train.labels[batch[r]];
-      }
-      if (noisy) rb = perturb(rb, config, rng);
-      const Tensor logits = cloud_->forward(rb);
-      sum += loss.forward(logits, yb);
+      data::TabularDataset b = clean.subset(batch);
+      if (noisy) b.features = perturb(b.features, config, rng);
+      sum += loss.forward(cloud_->forward(b.features), b.labels);
       cloud_->zero_grad();
       cloud_->backward(loss.backward());
-      for (nn::Parameter* p : cloud_->parameters())
-        p->value.add_scaled_(p->grad, static_cast<float>(-lr));
+      optimizer.step();
     }
     last_loss = sum / static_cast<double>(batches.size());
   }

@@ -904,9 +904,13 @@ TEST_F(TrainerFixture, DivergenceRollbackIsIndependentOfCheckpointing) {
 }
 
 TEST_F(TrainerFixture, SelectiveSgdDivergenceRollbackKeepsParamsFinite) {
+  // At this rate round 2's loss jumps about 170-fold (8.8e3 to 1.5e6) and
+  // trips the guard once; replayed at the decayed rate the loss falls and
+  // the run completes all rounds. A much higher rate exhausts max_rollbacks
+  // and gives up early, which would not test recovery.
   federated::SelectiveSGDConfig cfg;
   cfg.rounds = 8;
-  cfg.lr = 25.0;  // diverges
+  cfg.lr = 6.0;  // diverges in round 2
   cfg.health.warmup_rounds = 0;
   cfg.health.divergence_factor = 2.0;
   cfg.health.max_rollbacks = 2;
@@ -919,14 +923,19 @@ TEST_F(TrainerFixture, SelectiveSgdDivergenceRollbackKeepsParamsFinite) {
   EXPECT_TRUE(saw_rollback);
   for (const float v : trainer.global_parameters())
     EXPECT_TRUE(std::isfinite(v));
+  ASSERT_FALSE(history.empty());
+  EXPECT_EQ(history.back().round, cfg.rounds);
 }
 
 TEST_F(TrainerFixture, DpFedAvgDivergenceRollbackKeepsParamsFinite) {
+  // At this rate rounds 2 and 3 each trip the guard once (losses 40 to 160
+  // times the baseline); the replays recover and the run completes all
+  // rounds without a third trip, which would exhaust max_rollbacks.
   privacy::DpFedAvgConfig cfg;
   cfg.rounds = 8;
   cfg.client_sample_prob = 0.75;
   cfg.local_epochs = 1;
-  cfg.client_lr = 25.0;  // diverges
+  cfg.client_lr = 10.0;  // diverges in rounds 2 and 3
   cfg.health.warmup_rounds = 0;
   cfg.health.divergence_factor = 2.0;
   cfg.health.max_rollbacks = 2;
@@ -939,6 +948,8 @@ TEST_F(TrainerFixture, DpFedAvgDivergenceRollbackKeepsParamsFinite) {
   EXPECT_TRUE(saw_rollback);
   for (const float v : nn::flatten_values(trainer.global_model().parameters()))
     EXPECT_TRUE(std::isfinite(v));
+  ASSERT_FALSE(history.empty());
+  EXPECT_EQ(history.back().round, cfg.rounds);
 }
 
 TEST_F(TrainerFixture, DpSgdDivergenceRollbackRecoversWithOrWithoutCheckpoints) {

@@ -17,6 +17,7 @@
 #include "data/synthetic.hpp"
 #include "federated/common.hpp"
 #include "nn/activations.hpp"
+#include "nn/dropout.hpp"
 #include "nn/linear.hpp"
 #include "prop.hpp"
 
@@ -487,6 +488,21 @@ TEST(LowRank, FactorizeMlpCopiesSmallLayers) {
   EXPECT_EQ(factored->size(), 1U);
   const Tensor x = Tensor::randn({2, 4}, rng);
   EXPECT_TRUE(allclose(model.forward(x), factored->forward(x), 1e-6F));
+}
+
+TEST(LowRank, FactorizeMlpDropsDropout) {
+  // Dropout is the identity at inference, so the rebuilt graph omits it,
+  // as int8_quantize_mlp and sparse_deploy_mlp do.
+  Rng rng(31);
+  nn::Sequential model;
+  model.emplace<nn::Linear>(6, 8, rng);
+  model.emplace<nn::Dropout>(0.5, rng);
+  model.emplace<nn::ReLU>();
+  model.emplace<nn::Linear>(8, 3, rng);
+  auto factored = low_rank_factorize_mlp(model, 5, rng);
+  EXPECT_EQ(factored->size(), 4U);  // 6->5, 5->8, ReLU, 8->3
+  for (std::size_t i = 0; i < factored->size(); ++i)
+    EXPECT_EQ(dynamic_cast<nn::Dropout*>(&factored->layer(i)), nullptr);
 }
 
 TEST(LowRank, ParamCountHelper) {

@@ -99,11 +99,16 @@ TEST(Tensor, SliceRowsAndRow) {
   EXPECT_THROW(t.slice_rows(0, 5), Error);
 }
 
-TEST(Tensor, SetRow) {
-  Tensor t({2, 3});
-  t.set_row(1, Tensor({3}, {1, 2, 3}));
-  EXPECT_EQ(t.at(1, 2), 3.0F);
-  EXPECT_THROW(t.set_row(1, Tensor({2})), Error);
+TEST(Tensor, GatherRows) {
+  const Tensor t({3, 2}, {0, 1, 2, 3, 4, 5});
+  const std::vector<std::size_t> rows = {2, 0, 2};
+  EXPECT_EQ(t.gather_rows(rows), Tensor({3, 2}, {4, 5, 0, 1, 4, 5}));
+  const Tensor none = t.gather_rows({});
+  EXPECT_EQ(none.shape(), (std::vector<std::int64_t>{0, 2}));
+  const std::vector<std::size_t> bad = {1, 3};
+  EXPECT_THROW(t.gather_rows(bad), Error);
+  EXPECT_THROW(Tensor({6}).gather_rows(rows), Error);
+  EXPECT_THROW(Tensor({1, 3, 2}).gather_rows({}), Error);
 }
 
 TEST(Tensor, TimeStepRoundTrip) {
