@@ -35,7 +35,7 @@ for mode in naive blocked simd; do
   fi
   echo "=== MDL_GEMM=$mode (kernel-facing tests) ==="
   MDL_GEMM=$mode "$BUILD_DIR/tests/mdl_tests" \
-    --gtest_filter='Gemm*:Tensor*:Int8*:ActQuant*:Linear*:Serve*:InferParity*:GRU*:GruSequence*:LSTM*:LstmSequence*'
+    --gtest_filter='Gemm*:GateActivation*:Tensor*:Int8*:ActQuant*:Linear*:Serve*:InferParity*:GRU*:GruSequence*:LSTM*:LstmSequence*'
 done
 
 OUT_DIR="$BUILD_DIR/smoke-jsonl"

@@ -56,26 +56,6 @@ double prune_model(nn::Module& model, double sparsity) {
                     : static_cast<double>(zeros) / static_cast<double>(total);
 }
 
-double measure_sparsity(const Tensor& t) {
-  if (t.empty()) return 0.0;
-  std::int64_t zeros = 0;
-  for (std::int64_t i = 0; i < t.size(); ++i)
-    if (t[i] == 0.0F) ++zeros;
-  return static_cast<double>(zeros) / static_cast<double>(t.size());
-}
-
-double measure_model_sparsity(nn::Module& model) {
-  std::int64_t total = 0, zeros = 0;
-  for (nn::Parameter* p : model.parameters()) {
-    if (p->value.ndim() != 2) continue;
-    total += p->value.size();
-    for (std::int64_t i = 0; i < p->value.size(); ++i)
-      if (p->value[i] == 0.0F) ++zeros;
-  }
-  return total == 0 ? 0.0
-                    : static_cast<double>(zeros) / static_cast<double>(total);
-}
-
 void mask_pruned_gradients(nn::Module& model) {
   for (nn::Parameter* p : model.parameters()) {
     if (p->value.ndim() != 2) continue;

@@ -23,10 +23,6 @@ float prune_by_magnitude(Tensor& t, double sparsity);
 /// overall fraction of zeroed weights.
 double prune_model(nn::Module& model, double sparsity);
 
-/// Fraction of exactly-zero entries.
-double measure_sparsity(const Tensor& t);
-double measure_model_sparsity(nn::Module& model);
-
 /// Re-applies the zero pattern of `mask_source` onto gradients so pruned
 /// connections stay pruned during fine-tuning: call after backward, before
 /// the optimizer step.

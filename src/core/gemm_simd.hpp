@@ -21,6 +21,12 @@
 //     several elements' chains side by side without changing any.
 //   - avx2_int8_gemm_nt_rows: exact int32 arithmetic (16-wide madd), so it
 //     must equal the scalar twin bit for bit on every input.
+//   - avx2_sigmoid / avx2_tanh: elementwise, the same op sequence in every
+//     lane and, under a lane mask, at the span's tail, so an output
+//     depends only on its own input — never on the span length, the
+//     element's position or the batch. ULP-bounded against the scalar
+//     sigmoid_scalar / std::tanh, never bit-identical; NaN propagates and
+//     ±inf saturates (tests/test_gemm_diff.cpp pins both).
 //
 // All entry points MDL_FAIL when the build lacks AVX2 support
 // (mdl::cpu::simd_gemm_supported() is the caller-side gate).
@@ -53,5 +59,12 @@ void avx2_int8_gemm_nt_rows(const std::uint8_t* a, const std::int8_t* b,
                             std::int64_t k, std::int64_t n,
                             const std::int32_t* za,
                             const std::int32_t* b_rowsum);
+
+/// x[i] = 1 / (1 + exp(-x[i])) in place over x[0..n). Below x = -87 the
+/// result is 0, where sigmoid_scalar goes on into the subnormals.
+void avx2_sigmoid(float* x, std::int64_t n);
+
+/// x[i] = tanh(x[i]) in place over x[0..n).
+void avx2_tanh(float* x, std::int64_t n);
 
 }  // namespace mdl::gemm::simd

@@ -321,6 +321,91 @@ void avx2_int8_gemm_nt_rows(const std::uint8_t* a, const std::int8_t* b,
   }
 }
 
+// -- Gate activations ----------------------------------------------------------
+// Elementwise, so every lane runs the same op sequence on its own value and
+// a span's tail goes through the same sequence under a lane mask: an
+// element's bits depend only on its value. Clamps put x second in
+// _mm256_min_ps/_mm256_max_ps, which return the second operand when either
+// is NaN, so NaN reaches the output; ordered compares are false on NaN, so
+// no mask below selects a constant for it.
+
+namespace {
+
+/// exp(x) for x <= 0, by Cephes' expf: x = n·ln2 + r with n = round(x·log2e)
+/// and ln2 split in two for an exact-enough r, a degree-7 polynomial in r,
+/// then the exponent bits of 2^n. Below -87 (where 2^n would leave the
+/// normal range) the result is 0.
+inline __m256 exp_nonpositive(__m256 x) {
+  const __m256 floor_arg = _mm256_set1_ps(-87.0F);
+  const __m256 xc = _mm256_max_ps(floor_arg, x);
+  const __m256 n = _mm256_round_ps(
+      _mm256_mul_ps(xc, _mm256_set1_ps(1.44269504088896341F)),
+      _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  __m256 r = _mm256_fnmadd_ps(n, _mm256_set1_ps(0.693359375F), xc);
+  r = _mm256_fnmadd_ps(n, _mm256_set1_ps(-2.12194440e-4F), r);
+  __m256 p = _mm256_set1_ps(1.9875691500e-4F);
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(1.3981999507e-3F));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(8.3334519073e-3F));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(4.1665795894e-2F));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(1.6666665459e-1F));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(5.0000001201e-1F));
+  p = _mm256_fmadd_ps(p, _mm256_mul_ps(r, r), r);
+  p = _mm256_add_ps(p, _mm256_set1_ps(1.0F));
+  const __m256i bits = _mm256_slli_epi32(
+      _mm256_add_epi32(_mm256_cvtps_epi32(n), _mm256_set1_epi32(127)), 23);
+  const __m256 e = _mm256_mul_ps(p, _mm256_castsi256_ps(bits));
+  return _mm256_andnot_ps(_mm256_cmp_ps(x, floor_arg, _CMP_LT_OQ), e);
+}
+
+/// sigmoid_scalar's split: t = exp(-|x|), then 1/(1+t) for x >= 0 and
+/// t/(1+t) below, so neither side divides by an overflowed exp.
+inline __m256 sigmoid8(__m256 x) {
+  const __m256 t = exp_nonpositive(_mm256_or_ps(x, _mm256_set1_ps(-0.0F)));
+  const __m256 one = _mm256_set1_ps(1.0F);
+  const __m256 num =
+      _mm256_blendv_ps(one, t, _mm256_cmp_ps(x, _mm256_setzero_ps(), _CMP_LT_OQ));
+  return _mm256_div_ps(num, _mm256_add_ps(one, t));
+}
+
+/// tanh by |x|, with x's sign put back: Cephes' tanhf odd polynomial
+/// a + a·a²·P(a²) below 0.625, where 1 - 2/(e^{2a}+1) would cancel, and
+/// (1-t)/(1+t) with t = exp(-2a) from there up.
+inline __m256 tanh8(__m256 x) {
+  const __m256 a = _mm256_andnot_ps(_mm256_set1_ps(-0.0F), x);
+  const __m256 z = _mm256_mul_ps(a, a);
+  __m256 p = _mm256_set1_ps(-5.70498872745e-3F);
+  p = _mm256_fmadd_ps(p, z, _mm256_set1_ps(2.06390887954e-2F));
+  p = _mm256_fmadd_ps(p, z, _mm256_set1_ps(-5.37397155531e-2F));
+  p = _mm256_fmadd_ps(p, z, _mm256_set1_ps(1.33314422036e-1F));
+  p = _mm256_fmadd_ps(p, z, _mm256_set1_ps(-3.33332819422e-1F));
+  const __m256 small = _mm256_fmadd_ps(_mm256_mul_ps(p, z), a, a);
+  const __m256 one = _mm256_set1_ps(1.0F);
+  const __m256 t = exp_nonpositive(_mm256_mul_ps(_mm256_set1_ps(-2.0F), a));
+  const __m256 large =
+      _mm256_div_ps(_mm256_sub_ps(one, t), _mm256_add_ps(one, t));
+  const __m256 mag = _mm256_blendv_ps(
+      large, small, _mm256_cmp_ps(a, _mm256_set1_ps(0.625F), _CMP_LT_OQ));
+  return _mm256_or_ps(mag, _mm256_and_ps(x, _mm256_set1_ps(-0.0F)));
+}
+
+/// Applies `op` in place over x[0..n): whole vectors, then the tail under
+/// a lane mask (dead lanes load 0 and are never stored).
+template <typename Op>
+inline void map_inplace(float* x, std::int64_t n, Op op) {
+  std::int64_t i = 0;
+  for (; i + 8 <= n; i += 8) _mm256_storeu_ps(x + i, op(_mm256_loadu_ps(x + i)));
+  if (i < n) {
+    const __m256i mask = tail_mask(n - i);
+    _mm256_maskstore_ps(x + i, mask, op(_mm256_maskload_ps(x + i, mask)));
+  }
+}
+
+}  // namespace
+
+void avx2_sigmoid(float* x, std::int64_t n) { map_inplace(x, n, sigmoid8); }
+
+void avx2_tanh(float* x, std::int64_t n) { map_inplace(x, n, tanh8); }
+
 }  // namespace mdl::gemm::simd
 
 #else  // !MDL_HAVE_AVX2 — stubs so the library links on baseline builds;
@@ -344,6 +429,14 @@ void avx2_int8_gemm_nt_rows(const std::uint8_t*, const std::int8_t*,
                             std::int32_t*, std::int64_t, std::int64_t,
                             std::int64_t, std::int64_t, const std::int32_t*,
                             const std::int32_t*) {
+  MDL_FAIL("AVX2 GEMM kernels were not compiled into this build");
+}
+
+void avx2_sigmoid(float*, std::int64_t) {
+  MDL_FAIL("AVX2 GEMM kernels were not compiled into this build");
+}
+
+void avx2_tanh(float*, std::int64_t) {
   MDL_FAIL("AVX2 GEMM kernels were not compiled into this build");
 }
 

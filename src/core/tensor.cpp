@@ -166,10 +166,6 @@ Tensor Tensor::slice_rows(std::int64_t begin, std::int64_t end) const {
   return out;
 }
 
-Tensor Tensor::row(std::int64_t i) const {
-  return slice_rows(i, i + 1).reshape({shape_[1]});
-}
-
 Tensor Tensor::gather_rows(std::span<const std::size_t> rows) const {
   MDL_CHECK(ndim() == 2, "gather_rows requires 2-D, got " << shape_str());
   const std::int64_t c = shape_[1];

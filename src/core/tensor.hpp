@@ -94,9 +94,6 @@ class Tensor {
   /// Rows [begin, end) of a 2-D tensor (copies).
   Tensor slice_rows(std::int64_t begin, std::int64_t end) const;
 
-  /// Row `i` of a 2-D tensor as a 1-D tensor (copies).
-  Tensor row(std::int64_t i) const;
-
   /// Rows `rows[0], rows[1], ...` of a 2-D tensor as a [rows.size(), cols]
   /// tensor (copies; indices may repeat). Throws on an out-of-range index.
   Tensor gather_rows(std::span<const std::size_t> rows) const;

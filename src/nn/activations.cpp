@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/gemm.hpp"
+#include "core/gemm_simd.hpp"
+
 namespace mdl::nn {
 
 Tensor ReLU::forward(const Tensor& x) {
@@ -58,15 +61,31 @@ Tensor Tanh::backward(const Tensor& grad_out) {
   return g;
 }
 
+void sigmoid_span(std::span<float> x) {
+  if (gemm::mode() == gemm::Mode::kSimd) {
+    gemm::simd::avx2_sigmoid(x.data(), static_cast<std::int64_t>(x.size()));
+    return;
+  }
+  for (float& v : x) v = sigmoid_scalar(v);
+}
+
+void tanh_span(std::span<float> x) {
+  if (gemm::mode() == gemm::Mode::kSimd) {
+    gemm::simd::avx2_tanh(x.data(), static_cast<std::int64_t>(x.size()));
+    return;
+  }
+  for (float& v : x) v = std::tanh(v);
+}
+
 Tensor sigmoid(const Tensor& x) {
   Tensor y = x;
-  for (std::int64_t i = 0; i < y.size(); ++i) y[i] = sigmoid_scalar(y[i]);
+  sigmoid_span(y.flat());
   return y;
 }
 
 Tensor tanh_t(const Tensor& x) {
   Tensor y = x;
-  for (std::int64_t i = 0; i < y.size(); ++i) y[i] = std::tanh(y[i]);
+  tanh_span(y.flat());
   return y;
 }
 

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cmath>
+#include <span>
 
 #include "nn/module.hpp"
 
@@ -46,8 +47,8 @@ class Tanh : public Module {
 
 // -- Stateless helpers used by losses, GRU, and classical models -----------
 
-/// Numerically stable elementwise sigmoid. Inline, so per-element loops in
-/// other files (the GRU gates) pay no call per element.
+/// Numerically stable elementwise sigmoid: the scalar reference behind
+/// sigmoid_span.
 inline float sigmoid_scalar(float x) {
   if (x >= 0.0F) {
     const float e = std::exp(-x);
@@ -56,6 +57,16 @@ inline float sigmoid_scalar(float x) {
   const float e = std::exp(x);
   return e / (1.0F + e);
 }
+
+/// Sigmoid in place over a span: the AVX2 kernel under gemm mode kSimd,
+/// sigmoid_scalar per element otherwise. Every sigmoid in the library (the
+/// layer, nn::sigmoid, the GRU and LSTM gates) runs through here, so each
+/// mode has one activation path and an element's bits depend only on its
+/// value.
+void sigmoid_span(std::span<float> x);
+
+/// std::tanh in place over a span, dispatched as sigmoid_span.
+void tanh_span(std::span<float> x);
 
 /// Applies sigmoid elementwise (out of place).
 Tensor sigmoid(const Tensor& x);

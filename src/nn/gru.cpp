@@ -1,7 +1,6 @@
 #include "nn/gru.hpp"
 
 #include <array>
-#include <cmath>
 #include <sstream>
 
 #include "nn/activations.hpp"
@@ -66,6 +65,8 @@ Tensor GRU::run(const Tensor& sequence, SequenceCache* sink) const {
   Tensor h_cand_all = matmul_nt(x, w_h_.value);
   const Tensor u_rz =
       Tensor::concat_rows(std::array{u_r_.value, u_z_.value});
+  const Tensor b_rz = Tensor::concat_cols(std::array{
+      b_r_.value.reshape({1, hid}), b_z_.value.reshape({1, hid})});
 
   Tensor h({batch, hid});
   Tensor rz({batch, 2 * hid});  // pre-activations, then the gates r | z
@@ -83,23 +84,21 @@ Tensor GRU::run(const Tensor& sequence, SequenceCache* sink) const {
     // product's chain, then the bias is added, as in Eq. (1) step by step.
     load_step(rz_all, t, rz);
     matmul_nt_acc(h, u_rz, rz);
+    activate_gates(rz, b_rz.data(), 2 * hid);
     for (std::int64_t b = 0; b < batch; ++b) {
-      float* g = rz.data() + b * 2 * hid;
-      for (std::int64_t j = 0; j < hid; ++j) {
-        g[j] = sigmoid_scalar(g[j] + b_r_.value[j]);
-        g[hid + j] = sigmoid_scalar(g[hid + j] + b_z_.value[j]);
-        rh[b * hid + j] = g[j] * h[b * hid + j];
-      }
+      const float* r = rz.data() + b * 2 * hid;
+      for (std::int64_t j = 0; j < hid; ++j)
+        rh[b * hid + j] = r[j] * h[b * hid + j];
     }
     load_step(h_cand_all, t, h_cand);
     matmul_nt_acc(rh, u_h_.value, h_cand);
+    activate_gates(h_cand, b_h_.value.data(), 0);
     // h = z ⊙ h_prev + (1 - z) ⊙ h~, in place: each element reads only
     // its own h_prev.
     for (std::int64_t b = 0; b < batch; ++b) {
       const float* z = rz.data() + b * 2 * hid + hid;
       for (std::int64_t j = 0; j < hid; ++j) {
         const std::int64_t i = b * hid + j;
-        h_cand[i] = std::tanh(h_cand[i] + b_h_.value[j]);
         h[i] = (z[j] * h[i]) + (h_cand[i] * (1.0F - z[j]));
       }
     }

@@ -1,7 +1,6 @@
 #include "nn/lstm.hpp"
 
 #include <array>
-#include <cmath>
 #include <sstream>
 
 #include "nn/activations.hpp"
@@ -66,6 +65,9 @@ Tensor LSTM::run(const Tensor& sequence, SequenceCache* sink) const {
              std::array{w_i_.value, w_f_.value, w_o_.value, w_g_.value}));
   const Tensor u_all = Tensor::concat_rows(
       std::array{u_i_.value, u_f_.value, u_o_.value, u_g_.value});
+  const Tensor b_all = Tensor::concat_cols(std::array{
+      b_i_.value.reshape({1, hid}), b_f_.value.reshape({1, hid}),
+      b_o_.value.reshape({1, hid}), b_g_.value.reshape({1, hid})});
 
   Tensor h({batch, hid});
   Tensor c({batch, hid});
@@ -88,19 +90,22 @@ Tensor LSTM::run(const Tensor& sequence, SequenceCache* sink) const {
     // element reading only its own c_{t-1}.
     load_step(gates_all, t, gates);
     matmul_nt_acc(h, u_all, gates);
+    activate_gates(gates, b_all.data(), 3 * hid);
     for (std::int64_t b = 0; b < batch; ++b) {
-      float* gi = gates.data() + b * 4 * hid;
-      float* gf = gi + hid;
-      float* go = gf + hid;
-      float* gg = go + hid;
+      const float* gi = gates.data() + b * 4 * hid;
+      const float* gf = gi + hid;
+      const float* gg = gi + 3 * hid;
       for (std::int64_t j = 0; j < hid; ++j) {
         const std::int64_t k = b * hid + j;
-        gi[j] = sigmoid_scalar(gi[j] + b_i_.value[j]);
-        gf[j] = sigmoid_scalar(gf[j] + b_f_.value[j]);
-        go[j] = sigmoid_scalar(go[j] + b_o_.value[j]);
-        gg[j] = std::tanh(gg[j] + b_g_.value[j]);
         c[k] = (gf[j] * c[k]) + (gi[j] * gg[j]);
-        tanh_c[k] = std::tanh(c[k]);
+      }
+    }
+    tanh_c = c;
+    activate_gates(tanh_c, nullptr, 0);
+    for (std::int64_t b = 0; b < batch; ++b) {
+      const float* go = gates.data() + b * 4 * hid + 2 * hid;
+      for (std::int64_t j = 0; j < hid; ++j) {
+        const std::int64_t k = b * hid + j;
         h[k] = go[j] * tanh_c[k];
       }
     }

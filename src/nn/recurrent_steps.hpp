@@ -6,6 +6,7 @@
 #include <algorithm>
 
 #include "core/tensor.hpp"
+#include "nn/activations.hpp"
 
 namespace mdl::nn::detail {
 
@@ -17,6 +18,24 @@ inline void load_step(const Tensor& all, std::int64_t t, Tensor& step) {
 
 inline void store_step(const Tensor& step, std::int64_t t, Tensor& all) {
   std::copy_n(step.data(), step.size(), all.data() + t * step.size());
+}
+
+// Finishes a [B, cols] gate block of pre-activations x·Wᵀ + h·Uᵀ: adds
+// `bias` (cols values, or none when null) to every row, one float add per
+// element, then applies sigmoid to each row's first `sigmoid_cols` columns
+// and tanh to the rest.
+inline void activate_gates(Tensor& block, const float* bias,
+                           std::int64_t sigmoid_cols) {
+  const std::int64_t cols = block.shape(1);
+  const auto n_sigmoid = static_cast<std::size_t>(sigmoid_cols);
+  const auto n_tanh = static_cast<std::size_t>(cols - sigmoid_cols);
+  for (std::int64_t b = 0; b < block.shape(0); ++b) {
+    float* row = block.data() + b * cols;
+    if (bias != nullptr)
+      for (std::int64_t j = 0; j < cols; ++j) row[j] += bias[j];
+    sigmoid_span({row, n_sigmoid});
+    tanh_span({row + sigmoid_cols, n_tanh});
+  }
 }
 
 using AccumulatingProduct = void (*)(const Tensor&, const Tensor&, Tensor&);

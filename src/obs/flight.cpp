@@ -121,9 +121,21 @@ void render_event(const TraceEvent& e, std::ostream& os) {
 
 struct FlightRecorder::ThreadRing {
   ThreadRing(std::size_t capacity, std::uint32_t tid_)
-      : slots(capacity), tid(tid_) {}
+      : slots(static_cast<TraceEvent*>(
+            std::calloc(capacity, sizeof(TraceEvent)))),
+        tid(tid_) {
+    MDL_CHECK(slots != nullptr, "cannot allocate a trace ring of "
+                                    << capacity << " events");
+  }
 
-  std::vector<TraceEvent> slots;
+  struct FreeSlots {
+    void operator()(TraceEvent* p) const { std::free(p); }
+  };
+  /// calloc'd rather than value-initialised: a ring-sized block comes as
+  /// untouched zero pages, so a ring commits memory only as events are
+  /// written. drain_snapshot() reads only slots below `head`, which emit()
+  /// has filled field by field.
+  std::unique_ptr<TraceEvent[], FreeSlots> slots;
   /// Total events ever written; slot index is head % capacity. The release
   /// store in emit() publishes the slot write to drain_snapshot().
   std::atomic<std::uint64_t> head{0};

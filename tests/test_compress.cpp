@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -87,6 +88,26 @@ TEST(Csr, StorageBytesFormula) {
 }
 
 // ----------------------------------------------------------------- Prune
+
+std::int64_t count_zeros(const Tensor& t) {
+  return std::count(t.flat().begin(), t.flat().end(), 0.0F);
+}
+
+// Fraction of exactly-zero entries.
+double measure_sparsity(const Tensor& t) {
+  return static_cast<double>(count_zeros(t)) / static_cast<double>(t.size());
+}
+
+// Fraction of exactly-zero entries over the model's 2-D (weight) tensors.
+double measure_model_sparsity(nn::Module& model) {
+  std::int64_t total = 0, zeros = 0;
+  for (nn::Parameter* p : model.parameters()) {
+    if (p->value.ndim() != 2) continue;
+    total += p->value.size();
+    zeros += count_zeros(p->value);
+  }
+  return static_cast<double>(zeros) / static_cast<double>(total);
+}
 
 TEST(Prune, ExactSparsityFraction) {
   Rng rng(4);

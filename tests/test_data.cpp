@@ -113,7 +113,8 @@ TEST(Subset, PreservesRowsAndLabels) {
   const TabularDataset sub = ds.subset(idx);
   EXPECT_EQ(sub.size(), 3);
   EXPECT_EQ(sub.labels[0], ds.labels[5]);
-  EXPECT_TRUE(allclose(sub.features.row(1), ds.features.row(0), 0.0F));
+  EXPECT_TRUE(allclose(sub.features.slice_rows(1, 2),
+                       ds.features.slice_rows(0, 1), 0.0F));
   const std::vector<std::size_t> bad{1000};
   EXPECT_THROW(ds.subset(bad), Error);
 }

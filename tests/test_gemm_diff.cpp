@@ -16,6 +16,10 @@
 //     takes the single-dot path.
 //   int8 — exact (EXPECT_EQ): integer addition is associative, so the AVX2
 //     widening-madd kernel must equal the scalar twin bit for bit.
+//   gate activations (GateActivation suite, every mode) — sigmoid within
+//     4 and tanh within 8 ULP of a double reference; an element's bits
+//     depend on its value alone, so a GRU/LSTM row is the same at B = 8
+//     as alone.
 //
 // Shapes are drawn adversarially: 1xN and Nx1 edges, multiples of the tile
 // sizes and tile+-1, odd k (SIMD remainder lanes), zero-extent dims, and
@@ -23,7 +27,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstring>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "core/cpu_features.hpp"
@@ -31,6 +39,9 @@
 #include "core/gemm_simd.hpp"
 #include "core/tensor.hpp"
 #include "core/threadpool.hpp"
+#include "nn/activations.hpp"
+#include "nn/gru.hpp"
+#include "nn/lstm.hpp"
 #include "prop.hpp"
 
 namespace mdl {
@@ -395,6 +406,178 @@ TEST(GemmDiff, Int8ExtremesAtTheKBound) {
                                              kMax + 1, 1, nullptr, nullptr),
                Error)
       << "reference";
+}
+
+// ------------------------------------------------------- Gate activations
+// sigmoid_span / tanh_span in every mode this machine runs: the scalar
+// reference loops under naive and blocked, the AVX2 kernels under simd.
+
+std::vector<gemm::Mode> runnable_modes() {
+  std::vector<gemm::Mode> modes{gemm::Mode::kNaive, gemm::Mode::kBlocked};
+  if (cpu::simd_gemm_supported()) modes.push_back(gemm::Mode::kSimd);
+  return modes;
+}
+
+struct Activation {
+  const char* name;
+  void (*apply)(std::span<float>);
+  double (*reference)(double);
+  std::int64_t max_ulp;
+};
+
+double sigmoid_ref(double x) { return 1.0 / (1.0 + std::exp(-x)); }
+double tanh_ref(double x) { return std::tanh(x); }
+
+const Activation kActivations[] = {
+    {"sigmoid", nn::sigmoid_span, sigmoid_ref, 4},
+    {"tanh", nn::tanh_span, tanh_ref, 8},
+};
+
+std::vector<float> applied(const Activation& act, std::vector<float> x) {
+  act.apply(x);
+  return x;
+}
+
+TEST(GateActivation, WithinUlpOfDoubleReference) {
+  // Every 97th float of [-20, 20], both signs, subnormals included, in
+  // chunks; the double reference is computed once per chunk for all modes.
+  constexpr std::uint64_t kStride = 97;
+  constexpr std::uint64_t kChunk = kStride << 15;
+  const std::uint64_t top = std::bit_cast<std::uint32_t>(20.0F);
+  for (const Activation& act : kActivations) {
+    const std::vector<gemm::Mode> modes = runnable_modes();
+    std::vector<std::int64_t> worst(modes.size(), 0);
+    std::vector<float> worst_at(modes.size(), 0.0F);
+    std::vector<float> x;
+    std::vector<float> want;
+    for (std::uint64_t start = 0; start <= top; start += kChunk) {
+      x.clear();
+      for (std::uint64_t bits = start; bits <= std::min(top, start + kChunk - 1);
+           bits += kStride) {
+        const auto v = std::bit_cast<float>(static_cast<std::uint32_t>(bits));
+        x.push_back(v);
+        x.push_back(-v);
+      }
+      want.resize(x.size());
+      for (std::size_t i = 0; i < x.size(); ++i)
+        want[i] = static_cast<float>(act.reference(x[i]));
+      for (std::size_t m = 0; m < modes.size(); ++m) {
+        ModeGuard guard;
+        gemm::set_mode(modes[m]);
+        const std::vector<float> got = applied(act, x);
+        for (std::size_t i = 0; i < x.size(); ++i) {
+          const std::int64_t ulp = prop::ulp_distance(got[i], want[i]);
+          if (ulp > worst[m]) {
+            worst[m] = ulp;
+            worst_at[m] = x[i];
+          }
+        }
+      }
+    }
+    for (std::size_t m = 0; m < modes.size(); ++m)
+      EXPECT_LE(worst[m], act.max_ulp)
+          << act.name << " under " << gemm::mode_name(modes[m]) << " at x = "
+          << worst_at[m];
+  }
+}
+
+TEST(GateActivation, NanPropagatesAndInfinitiesSaturate) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  // Thirteen values: eight in a full vector, five in a masked tail, with
+  // NaN and both infinities in each part.
+  const std::vector<float> special{nan,  inf,   -inf,   -nan, 1e4F, -1e4F, 90.0F,
+                                   -90.0F, 0.0F, nan, -inf, inf, -0.0F};
+  std::vector<float> sweep;  // |x| up to 1e4
+  for (int i = -1000; i <= 1000; ++i) sweep.push_back(static_cast<float>(i) * 10.0F);
+  for (const gemm::Mode mode : runnable_modes()) {
+    SCOPED_TRACE(gemm::mode_name(mode));
+    ModeGuard guard;
+    gemm::set_mode(mode);
+    const std::vector<float> s = applied(kActivations[0], special);
+    const std::vector<float> t = applied(kActivations[1], special);
+    for (std::size_t i = 0; i < special.size(); ++i) {
+      const float x = special[i];
+      SCOPED_TRACE(testing::Message() << "x = " << x << " at " << i);
+      if (std::isnan(x)) {
+        EXPECT_TRUE(std::isnan(s[i]));
+        EXPECT_TRUE(std::isnan(t[i]));
+      } else if (std::isinf(x)) {
+        EXPECT_EQ(s[i], x > 0 ? 1.0F : 0.0F);
+        EXPECT_EQ(t[i], x > 0 ? 1.0F : -1.0F);
+      } else if (x == 0.0F) {
+        EXPECT_EQ(s[i], 0.5F);
+        EXPECT_EQ(t[i], 0.0F);
+        EXPECT_EQ(std::signbit(t[i]), std::signbit(x));
+      }
+    }
+    const std::vector<float> ss = applied(kActivations[0], sweep);
+    const std::vector<float> ts = applied(kActivations[1], sweep);
+    for (std::size_t i = 0; i < sweep.size(); ++i) {
+      EXPECT_TRUE(ss[i] >= 0.0F && ss[i] <= 1.0F) << sweep[i] << " -> " << ss[i];
+      EXPECT_TRUE(ts[i] >= -1.0F && ts[i] <= 1.0F) << sweep[i] << " -> " << ts[i];
+    }
+  }
+}
+
+TEST(GateActivation, ElementBitsIgnoreSpanAndLane) {
+  // Each element alone, and the span shifted by three lanes, against the
+  // whole 37-element span: body lanes, tail lanes and misaligned starts.
+  Rng rng(11);
+  std::vector<float> x(37);
+  for (float& v : x) v = static_cast<float>(rng.uniform(-12.0, 12.0));
+  for (const gemm::Mode mode : runnable_modes()) {
+    ModeGuard guard;
+    gemm::set_mode(mode);
+    for (const Activation& act : kActivations) {
+      SCOPED_TRACE(testing::Message() << act.name << " under "
+                                      << gemm::mode_name(mode));
+      const std::vector<float> whole = applied(act, x);
+      const std::vector<float> shifted =
+          applied(act, std::vector<float>(x.begin() + 3, x.end()));
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        const std::vector<float> alone = applied(act, {x[i]});
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(alone[0]),
+                  std::bit_cast<std::uint32_t>(whole[i]))
+            << "element " << i;
+        if (i >= 3) {
+          EXPECT_EQ(std::bit_cast<std::uint32_t>(shifted[i - 3]),
+                    std::bit_cast<std::uint32_t>(whole[i]))
+              << "element " << i;
+        }
+      }
+    }
+  }
+}
+
+/// Row b of a batch-8 infer against the same sequence run alone.
+template <typename Recurrent>
+void expect_rows_match_batch_of_one(std::int64_t hid) {
+  constexpr std::int64_t kSteps = 12, kBatch = 8, kIn = 3;
+  Rng rng(static_cast<std::uint64_t>(hid));
+  const Recurrent layer(kIn, hid, rng);
+  const Tensor seq = Tensor::randn({kSteps, kBatch, kIn}, rng);
+  const Tensor h = layer.infer(seq);
+  for (std::int64_t b = 0; b < kBatch; ++b) {
+    Tensor one({kSteps, 1, kIn});
+    for (std::int64_t t = 0; t < kSteps; ++t)
+      std::copy_n(seq.data() + (t * kBatch + b) * kIn, kIn,
+                  one.data() + t * kIn);
+    expect_bits_equal(layer.infer(one), h.slice_rows(b, b + 1), "row");
+  }
+}
+
+TEST(GateActivation, RecurrentRowsMatchBatchOfOne) {
+  for (const gemm::Mode mode : runnable_modes()) {
+    ModeGuard guard;
+    gemm::set_mode(mode);
+    for (const std::int64_t hid : {5, 16}) {
+      SCOPED_TRACE(testing::Message() << "H=" << hid << " under "
+                                      << gemm::mode_name(mode));
+      expect_rows_match_batch_of_one<nn::GRU>(hid);
+      expect_rows_match_batch_of_one<nn::LSTM>(hid);
+    }
+  }
 }
 
 }  // namespace

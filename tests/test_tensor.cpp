@@ -94,7 +94,7 @@ TEST(Tensor, SliceRowsAndRow) {
   const Tensor s = t.slice_rows(1, 3);
   EXPECT_EQ(s.shape(0), 2);
   EXPECT_EQ(s.at(0, 0), 2.0F);
-  EXPECT_EQ(t.row(3).at(1), 7.0F);
+  EXPECT_EQ(t.slice_rows(3, 4).at(0, 1), 7.0F);
   EXPECT_THROW(t.slice_rows(3, 2), Error);
   EXPECT_THROW(t.slice_rows(0, 5), Error);
 }
