@@ -1,8 +1,10 @@
 // Golden-trace regression tests (ctest label: golden).
 //
-// Fixed-seed MDL_QUICK runs of the fig2 (federated communication) and fig4
-// (DeepMood fusion) benches are compared line-by-line against committed
-// JSONL traces under tests/golden/. The comparator is tolerance-aware:
+// Fixed-seed MDL_QUICK runs of the fig2 (federated communication), fig3
+// (split inference), fig4 (DeepMood fusion), table1 (user identification
+// baselines), tab_compression and tab_dp_federated benches are compared
+// line-by-line against committed JSONL traces under tests/golden/. The
+// comparator is tolerance-aware:
 //   - records with event == "metric" are skipped entirely (they carry
 //     wall-clock timings and environment-dependent counters), as are
 //     "build_info" provenance records (per-commit git SHA);
@@ -158,6 +160,46 @@ TEST(GoldenTrace, Fig4DeepmoodFusionQuick) {
 #else
   run_golden_check(MDL_BENCH_FIG4_PATH,
                    std::string(MDL_GOLDEN_DIR) + "/fig4_quick.jsonl", "fig4");
+#endif
+}
+
+TEST(GoldenTrace, Fig3SplitInferenceQuick) {
+#if !defined(MDL_BENCH_FIG3_PATH) || !defined(MDL_GOLDEN_DIR)
+  GTEST_SKIP() << "bench binaries not built in this configuration";
+#else
+  run_golden_check(MDL_BENCH_FIG3_PATH,
+                   std::string(MDL_GOLDEN_DIR) + "/fig3_quick.jsonl",
+                   "fig3");
+#endif
+}
+
+TEST(GoldenTrace, Table1UserIdentificationQuick) {
+#if !defined(MDL_BENCH_TABLE1_PATH) || !defined(MDL_GOLDEN_DIR)
+  GTEST_SKIP() << "bench binaries not built in this configuration";
+#else
+  run_golden_check(MDL_BENCH_TABLE1_PATH,
+                   std::string(MDL_GOLDEN_DIR) + "/table1_quick.jsonl",
+                   "table1");
+#endif
+}
+
+TEST(GoldenTrace, TabCompressionQuick) {
+#if !defined(MDL_BENCH_TAB_COMPRESSION_PATH) || !defined(MDL_GOLDEN_DIR)
+  GTEST_SKIP() << "bench binaries not built in this configuration";
+#else
+  run_golden_check(MDL_BENCH_TAB_COMPRESSION_PATH,
+                   std::string(MDL_GOLDEN_DIR) + "/tab_compression_quick.jsonl",
+                   "tab_compression");
+#endif
+}
+
+TEST(GoldenTrace, TabDpFederatedQuick) {
+#if !defined(MDL_BENCH_TAB_DP_PATH) || !defined(MDL_GOLDEN_DIR)
+  GTEST_SKIP() << "bench binaries not built in this configuration";
+#else
+  run_golden_check(MDL_BENCH_TAB_DP_PATH,
+                   std::string(MDL_GOLDEN_DIR) + "/tab_dp_federated_quick.jsonl",
+                   "tab_dp_federated");
 #endif
 }
 
