@@ -9,6 +9,8 @@
 
 namespace mdl::apps {
 
+constexpr double kGradClip = 5.0;  ///< global-norm clip (BPTT stability)
+
 MultiViewModel::MultiViewModel(MultiViewConfig config, Rng& rng)
     : config_(std::move(config)) {
   MDL_CHECK(!config_.view_dims.empty(), "need at least one view");
@@ -136,8 +138,7 @@ double MultiViewTrainer::train(const data::MultiViewDataset& train) {
       sum += loss.forward(logits, batch.labels);
       model_.zero_grad();
       model_.backward(loss.backward());
-      if (config_.grad_clip > 0.0)
-        nn::clip_grad_global_norm(params, config_.grad_clip);
+      nn::clip_grad_global_norm(params, kGradClip);
       optimizer_.step();
     }
     last_epoch_loss = sum / static_cast<double>(batches.size());

@@ -71,7 +71,6 @@ struct MultiViewTrainConfig {
   std::int64_t epochs = 25;
   std::int64_t batch_size = 32;
   double lr = 0.01;          ///< Adam
-  double grad_clip = 5.0;    ///< global-norm clip (BPTT stability)
   std::uint64_t seed = 31;
   bool verbose = false;
 };

@@ -511,13 +511,6 @@ std::string BlockCodec::decode_string(std::string_view enc) {
   return std::string(reinterpret_cast<const char*>(raw.data()), raw.size());
 }
 
-bool BlockCodec::looks_encoded(std::string_view bytes) {
-  if (bytes.size() < kStreamHeaderBytes) return false;
-  return load_u32(reinterpret_cast<const std::uint8_t*>(bytes.data())) ==
-             kMagic &&
-         static_cast<std::uint8_t>(bytes[4]) == kVersion;
-}
-
 std::uint64_t BlockCodec::max_encoded_size(std::uint64_t raw_size,
                                            std::size_t block_size) {
   MDL_CHECK(block_size >= 1, "block_size must be positive");

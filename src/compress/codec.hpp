@@ -65,10 +65,6 @@ class BlockCodec {
   static std::vector<std::uint8_t> decode(std::span<const std::uint8_t> enc);
   static std::string decode_string(std::string_view enc);
 
-  /// True when `bytes` starts with a plausible BlockCodec stream header
-  /// (magic + version). A probe, not a validation.
-  static bool looks_encoded(std::string_view bytes);
-
   /// Worst-case encoded size for `raw_size` input bytes at `block_size`:
   /// stream header + one block header per block + the raw bytes (stored
   /// escape). The property tests pin encode() under this bound.

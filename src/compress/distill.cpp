@@ -6,27 +6,28 @@
 
 namespace mdl::compress {
 
+constexpr double kTemperature = 4.0;  ///< softens teacher and student logits
+constexpr std::size_t kBatchSize = 32;
+constexpr double kLr = 0.05;          ///< student SGD step
+
 double distill(nn::Sequential& teacher, nn::Sequential& student,
                const data::TabularDataset& train,
                const data::TabularDataset& test, const DistillConfig& config) {
   MDL_CHECK(train.size() > 0, "empty training set");
-  MDL_CHECK(config.epochs > 0 && config.batch_size > 0 && config.lr > 0.0,
-            "invalid distillation config");
+  MDL_CHECK(config.epochs > 0, "invalid distillation config");
 
   // Teacher logits are fixed; compute once.
   teacher.set_training(false);
   const Tensor teacher_logits = teacher.forward(train.features);
 
   Rng rng(config.seed);
-  nn::DistillationLoss loss(config.temperature, config.alpha);
+  nn::DistillationLoss loss(kTemperature, config.alpha);
   student.set_training(true);
-  nn::SGD optimizer(student.parameters(), config.lr);
+  nn::SGD optimizer(student.parameters(), kLr);
 
   for (std::int64_t epoch = 0; epoch < config.epochs; ++epoch) {
-    const auto batches =
-        data::minibatch_indices(static_cast<std::size_t>(train.size()),
-                                static_cast<std::size_t>(config.batch_size),
-                                rng);
+    const auto batches = data::minibatch_indices(
+        static_cast<std::size_t>(train.size()), kBatchSize, rng);
     for (const auto& batch : batches) {
       const data::TabularDataset b = train.subset(batch);
       loss.forward(student.forward(b.features),

@@ -9,11 +9,8 @@
 namespace mdl::compress {
 
 struct DistillConfig {
-  double temperature = 4.0;
   double alpha = 0.7;  ///< weight on the soft (teacher) loss
   std::int64_t epochs = 20;
-  std::int64_t batch_size = 32;
-  double lr = 0.05;
   std::uint64_t seed = 23;
 };
 

@@ -6,6 +6,8 @@
 
 namespace mdl::compress {
 
+constexpr int kKmeansIterations = 25;  ///< Lloyd steps per tensor
+
 Tensor QuantizedTensor::dequantize() const {
   Tensor out(shape);
   MDL_CHECK(static_cast<std::size_t>(out.size()) == indices.size(),
@@ -40,7 +42,6 @@ QuantizedTensor quantize_kmeans(const Tensor& t,
                                 const QuantizeConfig& config) {
   MDL_CHECK(config.bits >= 1 && config.bits <= 16,
             "bits must be in [1, 16], got " << config.bits);
-  MDL_CHECK(config.kmeans_iterations > 0, "need >= 1 k-means iteration");
 
   QuantizedTensor q;
   q.shape = t.shape();
@@ -75,7 +76,7 @@ QuantizedTensor quantize_kmeans(const Tensor& t,
   std::vector<std::size_t> assign(nz.size());
   std::vector<double> sums(k);
   std::vector<std::int64_t> counts(k);
-  for (int it = 0; it < config.kmeans_iterations; ++it) {
+  for (int it = 0; it < kKmeansIterations; ++it) {
     std::vector<float> sorted(q.codebook.begin() + 1, q.codebook.end());
     std::sort(sorted.begin(), sorted.end());
     std::copy(sorted.begin(), sorted.end(), q.codebook.begin() + 1);

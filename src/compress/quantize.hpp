@@ -30,7 +30,6 @@ struct QuantizedTensor {
 
 struct QuantizeConfig {
   int bits = 6;                  ///< codebook holds 2^bits - 1 nonzero levels
-  int kmeans_iterations = 25;
   std::uint64_t seed = 3;
 };
 

@@ -13,6 +13,7 @@ namespace mdl::federated {
 namespace {
 // v4: the shared RoundRunner prefix; older archives are refused.
 constexpr std::uint32_t kSelectiveSgdStateVersion = 4;
+constexpr std::int64_t kBatchSize = 16;  ///< local SGD minibatch rows
 
 /// Refills `order` with 0..n-1 and moves the k indices with the largest
 /// `key(i)` to its front, in nth_element's (unsorted) order.
@@ -232,7 +233,7 @@ std::vector<RoundStats> SelectiveSGDTrainer::run(
           nn::unflatten_into_values(local, client.params);
           client_loss[c] =
               local_sgd(client.model, client.shard, config_.local_epochs,
-                        config_.batch_size, config_.lr, client.rng);
+                        kBatchSize, config_.lr, client.rng);
           const std::vector<float> after = nn::flatten_values(client.params);
 
           // -- Upload selection: theta_u largest |accumulated gradient| ---

@@ -23,7 +23,6 @@ struct SelectiveSGDConfig {
   /// theta_d: fraction of global parameters downloaded per round.
   double download_fraction = 1.0;
   std::int64_t local_epochs = 1;
-  std::int64_t batch_size = 16;
   double lr = 0.1;
   std::uint64_t seed = 11;
   /// Crash-safe checkpointing + health rollback (ckpt::TrainerGuard).

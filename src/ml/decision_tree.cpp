@@ -6,10 +6,11 @@
 
 namespace mdl::ml {
 
+constexpr std::size_t kMinSamplesSplit = 2;  ///< smaller nodes become leaves
+
 DecisionTree::DecisionTree(TreeConfig config) : config_(config) {
   MDL_CHECK(config.max_depth >= 0, "max_depth must be >= 0");
   MDL_CHECK(config.min_samples_leaf >= 1, "min_samples_leaf must be >= 1");
-  MDL_CHECK(config.min_samples_split >= 2, "min_samples_split must be >= 2");
 }
 
 void DecisionTree::fit(const data::TabularDataset& train) {
@@ -58,8 +59,7 @@ std::int32_t DecisionTree::build(const data::TabularDataset& train,
       pure = false;
       break;
     }
-  if (pure || depth >= config_.max_depth ||
-      static_cast<std::int64_t>(n) < config_.min_samples_split)
+  if (pure || depth >= config_.max_depth || n < kMinSamplesSplit)
     return make_leaf(train, here);
 
   // Candidate features.

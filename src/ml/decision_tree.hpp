@@ -12,7 +12,6 @@ namespace mdl::ml {
 struct TreeConfig {
   std::int64_t max_depth = 12;
   std::int64_t min_samples_leaf = 1;
-  std::int64_t min_samples_split = 2;
   /// Features considered per split: -1 = all, otherwise a random subset of
   /// this size (random-forest mode).
   std::int64_t max_features = -1;

@@ -8,13 +8,17 @@
 
 namespace mdl::ml {
 
+constexpr double kLearningRate = 0.25;
+constexpr double kLambda = 1.0;          ///< L2 on leaf weights
+constexpr double kGamma = 0.0;           ///< min split gain
+constexpr double kMinChildWeight = 1.0;  ///< min hessian sum per leaf
+constexpr double kColsample = 0.8;       ///< feature subsampling per tree
+
 GradientBoostedTrees::GradientBoostedTrees(GBDTConfig config)
     : config_(config) {
   MDL_CHECK(config.rounds > 0 && config.max_depth >= 1, "invalid GBDT config");
-  MDL_CHECK(config.learning_rate > 0.0, "learning rate must be positive");
-  MDL_CHECK(config.subsample > 0.0 && config.subsample <= 1.0 &&
-                config.colsample > 0.0 && config.colsample <= 1.0,
-            "subsample fractions must be in (0, 1]");
+  MDL_CHECK(config.subsample > 0.0 && config.subsample <= 1.0,
+            "subsample fraction must be in (0, 1]");
 }
 
 float GradientBoostedTrees::RegTree::predict(std::span<const float> row) const {
@@ -40,8 +44,7 @@ std::int32_t GradientBoostedTrees::build(
   }
 
   auto leaf_value = [&](double g, double h) {
-    return static_cast<float>(-config_.learning_rate * g /
-                              (h + config_.lambda));
+    return static_cast<float>(-kLearningRate * g / (h + kLambda));
   };
   auto make_leaf = [&]() {
     RegNode node;
@@ -52,8 +55,8 @@ std::int32_t GradientBoostedTrees::build(
 
   if (depth >= config_.max_depth || n < 2) return make_leaf();
 
-  const double parent_score = g_sum * g_sum / (h_sum + config_.lambda);
-  double best_gain = config_.gamma + 1e-12;
+  const double parent_score = g_sum * g_sum / (h_sum + kLambda);
+  double best_gain = kGamma + 1e-12;
   std::int64_t best_feature = -1;
   float best_threshold = 0.0F;
 
@@ -73,11 +76,9 @@ std::int32_t GradientBoostedTrees::build(
       if (vals[i].first == vals[i + 1].first) continue;
       const double gr = g_sum - gl;
       const double hr = h_sum - hl;
-      if (hl < config_.min_child_weight || hr < config_.min_child_weight)
-        continue;
-      const double gain = 0.5 * (gl * gl / (hl + config_.lambda) +
-                                 gr * gr / (hr + config_.lambda) -
-                                 parent_score);
+      if (hl < kMinChildWeight || hr < kMinChildWeight) continue;
+      const double gain = 0.5 * (gl * gl / (hl + kLambda) +
+                                 gr * gr / (hr + kLambda) - parent_score);
       if (gain > best_gain) {
         best_gain = gain;
         best_feature = f;
@@ -151,13 +152,10 @@ void GradientBoostedTrees::fit(const data::TabularDataset& train) {
       // Column subsample per tree.
       std::vector<std::int64_t> feats(static_cast<std::size_t>(dim_));
       std::iota(feats.begin(), feats.end(), std::int64_t{0});
-      if (config_.colsample < 1.0) {
-        rng.shuffle(feats);
-        const auto keep = std::max<std::size_t>(
-            1, static_cast<std::size_t>(std::llround(
-                   config_.colsample * static_cast<double>(dim_))));
-        feats.resize(keep);
-      }
+      rng.shuffle(feats);
+      feats.resize(std::max<std::size_t>(
+          1, static_cast<std::size_t>(
+                 std::llround(kColsample * static_cast<double>(dim_)))));
 
       // Softmax gradients/hessians for class c.
       for (const std::size_t i : rows) {

@@ -20,12 +20,7 @@ namespace mdl::ml {
 struct GBDTConfig {
   std::int64_t rounds = 60;
   std::int64_t max_depth = 4;
-  double learning_rate = 0.25;
-  double lambda = 1.0;      ///< L2 on leaf weights
-  double gamma = 0.0;       ///< min split gain
-  double min_child_weight = 1.0;  ///< min hessian sum per leaf
   double subsample = 0.8;   ///< row subsampling per round
-  double colsample = 0.8;   ///< feature subsampling per tree
   std::uint64_t seed = 53;
 };
 

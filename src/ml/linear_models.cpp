@@ -1,6 +1,5 @@
 #include "ml/linear_models.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "nn/activations.hpp"
@@ -8,6 +7,13 @@
 
 namespace mdl::ml {
 namespace {
+
+// Both linear baselines train at one fixed setting.
+constexpr double kLearningRate = 0.1;  ///< LR step before 1/sqrt(t) decay
+constexpr double kL2 = 1e-4;           ///< L2 weight (Pegasos lambda)
+constexpr std::int64_t kEpochs = 120;
+constexpr std::size_t kBatchSize = 32;  ///< LR minibatch rows
+constexpr std::uint64_t kSeed = 17;
 
 /// Appends a constant-1 bias column.
 Tensor with_bias(const Tensor& x) {
@@ -35,13 +41,6 @@ double evaluate_macro_f1(const Classifier& clf,
   return nn::macro_f1(ds.labels, pred, ds.num_classes);
 }
 
-LogisticRegression::LogisticRegression(LinearModelConfig config)
-    : config_(config) {
-  MDL_CHECK(config.learning_rate > 0.0 && config.epochs > 0 &&
-                config.batch_size > 0,
-            "invalid linear model config");
-}
-
 void LogisticRegression::fit(const data::TabularDataset& train) {
   MDL_CHECK(train.size() > 0, "empty training set");
   classes_ = train.num_classes;
@@ -49,17 +48,15 @@ void LogisticRegression::fit(const data::TabularDataset& train) {
   const Tensor x = with_bias(scaler_.transform(train.features));
   const std::int64_t d1 = x.shape(1);
   weights_ = Tensor({classes_, d1});
-  Rng rng(config_.seed);
+  Rng rng(kSeed);
 
   std::int64_t t_step = 0;
-  for (std::int64_t epoch = 0; epoch < config_.epochs; ++epoch) {
+  for (std::int64_t epoch = 0; epoch < kEpochs; ++epoch) {
     const auto batches = data::minibatch_indices(
-        static_cast<std::size_t>(train.size()),
-        static_cast<std::size_t>(config_.batch_size), rng);
+        static_cast<std::size_t>(train.size()), kBatchSize, rng);
     for (const auto& batch : batches) {
       ++t_step;
-      const double lr =
-          config_.learning_rate / std::sqrt(static_cast<double>(t_step));
+      const double lr = kLearningRate / std::sqrt(static_cast<double>(t_step));
       // Gradient of mean CE: (softmax - onehot)^T x / B + l2 * W.
       const Tensor xb = x.gather_rows(batch);
       Tensor logits = matmul_nt(xb, weights_);
@@ -70,7 +67,7 @@ void LogisticRegression::fit(const data::TabularDataset& train) {
               train.labels[batch[r]]] -= 1.0F;
       Tensor grad = matmul_tn(probs, xb);  // [classes, d1]
       grad.mul_(inv_b);
-      grad.add_scaled_(weights_, static_cast<float>(config_.l2));
+      grad.add_scaled_(weights_, static_cast<float>(kL2));
       weights_.add_scaled_(grad, static_cast<float>(-lr));
     }
   }
@@ -86,11 +83,6 @@ std::vector<std::int64_t> LogisticRegression::predict(
   return decision_function(features).argmax_rows();
 }
 
-LinearSVM::LinearSVM(LinearModelConfig config) : config_(config) {
-  MDL_CHECK(config.learning_rate > 0.0 && config.epochs > 0,
-            "invalid linear model config");
-}
-
 void LinearSVM::fit(const data::TabularDataset& train) {
   MDL_CHECK(train.size() > 0, "empty training set");
   classes_ = train.num_classes;
@@ -99,12 +91,12 @@ void LinearSVM::fit(const data::TabularDataset& train) {
   const std::int64_t n = x.shape(0);
   const std::int64_t d1 = x.shape(1);
   weights_ = Tensor({classes_, d1});
-  Rng rng(config_.seed);
+  Rng rng(kSeed);
 
   // Pegasos: lambda-regularized hinge, eta_t = 1 / (lambda * t).
-  const double lambda = std::max(config_.l2, 1e-6);
+  constexpr double lambda = kL2;
   std::int64_t t_step = 0;
-  for (std::int64_t epoch = 0; epoch < config_.epochs; ++epoch) {
+  for (std::int64_t epoch = 0; epoch < kEpochs; ++epoch) {
     const auto perm = rng.permutation(static_cast<std::size_t>(n));
     for (const std::size_t pi : perm) {
       ++t_step;

@@ -12,20 +12,10 @@
 
 namespace mdl::ml {
 
-struct LinearModelConfig {
-  double learning_rate = 0.1;
-  double l2 = 1e-4;
-  std::int64_t epochs = 120;
-  std::int64_t batch_size = 32;
-  std::uint64_t seed = 17;
-};
-
 /// Multinomial (softmax) logistic regression trained with mini-batch SGD
 /// with 1/sqrt(t) decay. Features are standardized internally.
 class LogisticRegression : public Classifier {
  public:
-  explicit LogisticRegression(LinearModelConfig config = {});
-
   void fit(const data::TabularDataset& train) override;
   std::vector<std::int64_t> predict(const Tensor& features) const override;
   std::string name() const override { return "LR"; }
@@ -34,7 +24,6 @@ class LogisticRegression : public Classifier {
   Tensor decision_function(const Tensor& features) const;
 
  private:
-  LinearModelConfig config_;
   data::StandardScaler scaler_;
   Tensor weights_;  // [classes, dim + 1]
   std::int64_t classes_ = 0;
@@ -44,8 +33,6 @@ class LogisticRegression : public Classifier {
 /// the hinge loss.
 class LinearSVM : public Classifier {
  public:
-  explicit LinearSVM(LinearModelConfig config = {});
-
   void fit(const data::TabularDataset& train) override;
   std::vector<std::int64_t> predict(const Tensor& features) const override;
   std::string name() const override { return "SVM"; }
@@ -53,7 +40,6 @@ class LinearSVM : public Classifier {
   Tensor decision_function(const Tensor& features) const;
 
  private:
-  LinearModelConfig config_;
   data::StandardScaler scaler_;
   Tensor weights_;  // [classes, dim + 1]
   std::int64_t classes_ = 0;

@@ -4,6 +4,8 @@
 
 namespace mdl::ml {
 
+constexpr std::int64_t kMinSamplesLeaf = 1;  ///< trees grow to pure leaves
+
 RandomForest::RandomForest(ForestConfig config) : config_(config) {
   MDL_CHECK(config.num_trees > 0, "forest needs >= 1 tree");
 }
@@ -12,12 +14,10 @@ void RandomForest::fit(const data::TabularDataset& train) {
   MDL_CHECK(train.size() > 0, "empty training set");
   classes_ = train.num_classes;
   dim_ = train.dim();
-  const std::int64_t max_features =
-      config_.max_features > 0
-          ? config_.max_features
-          : std::max<std::int64_t>(
-                1, static_cast<std::int64_t>(
-                       std::floor(std::sqrt(static_cast<double>(dim_)))));
+  // Features per split: floor(sqrt(dim)).
+  const std::int64_t max_features = std::max<std::int64_t>(
+      1, static_cast<std::int64_t>(
+             std::floor(std::sqrt(static_cast<double>(dim_)))));
 
   const auto n = static_cast<std::size_t>(train.size());
   Rng seeder(config_.seed);
@@ -41,7 +41,7 @@ void RandomForest::fit(const data::TabularDataset& train) {
   for (std::size_t b = 0; b < bootstraps.size(); ++b) {
     TreeConfig tc;
     tc.max_depth = config_.max_depth;
-    tc.min_samples_leaf = config_.min_samples_leaf;
+    tc.min_samples_leaf = kMinSamplesLeaf;
     tc.max_features = max_features;
     tc.seed = tree_seeds[b];
     trees_.emplace_back(tc);

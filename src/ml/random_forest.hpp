@@ -10,9 +10,6 @@ namespace mdl::ml {
 struct ForestConfig {
   std::int64_t num_trees = 80;
   std::int64_t max_depth = 14;
-  std::int64_t min_samples_leaf = 1;
-  /// Features per split; -1 means floor(sqrt(dim)).
-  std::int64_t max_features = -1;
   std::uint64_t seed = 41;
 };
 

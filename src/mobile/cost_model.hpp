@@ -55,12 +55,13 @@ struct CostEstimate {
   std::uint64_t bytes_down = 0;
 };
 
-/// Client-side retry policy for the split path (the serve::SplitClient
-/// knobs), modelled analytically: attempts fail i.i.d. with probability f
-/// (stall, shed, executor error), each failed attempt burns the timeout,
-/// retries are separated by exponential backoff, and exhausting the
-/// attempts degrades to the on-device fallback. Jitter is mean-1, so it
-/// drops out of every expectation.
+/// Client-side retry policy for the split path. serve::SplitClient runs it
+/// (SplitClientConfig::retry) and InferencePlanner::split_degraded prices
+/// it: attempts fail i.i.d. with probability f (stall, shed, executor
+/// error), each failed attempt burns the timeout, retries are separated by
+/// exponential backoff, and exhausting the attempts degrades to the
+/// on-device fallback. Jitter is mean-1, so it drops out of every
+/// expectation.
 struct RetryPolicy {
   std::int64_t max_attempts = 3;  ///< 1 = no retries
   double timeout_s = 0.02;        ///< latency paid by each failed attempt

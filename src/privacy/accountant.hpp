@@ -24,6 +24,9 @@
 
 namespace mdl::privacy {
 
+/// The delta at which DP-SGD and DP-FedAvg report epsilon.
+inline constexpr double kDelta = 1e-5;
+
 /// Accumulates RDP over steps of the subsampled Gaussian mechanism.
 class MomentsAccountant {
  public:

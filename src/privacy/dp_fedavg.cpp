@@ -12,6 +12,7 @@ namespace {
 // v4: the shared RoundRunner prefix (which adds the ledger); older archives
 // are refused.
 constexpr std::uint32_t kDpFedAvgStateVersion = 4;
+constexpr std::int64_t kBatchSize = 16;  ///< local SGD minibatch rows
 }
 
 void DpFedAvgTrainer::save_state(BinaryWriter& w) const {
@@ -94,7 +95,7 @@ std::vector<DpRoundStats> DpFedAvgTrainer::run(
           nn::unflatten_into_values(w_global, client.params);
           client_loss[client.index] = federated::local_sgd(
               client.model, client.shard, config_.local_epochs,
-              config_.batch_size, config_.client_lr, client.rng);
+              kBatchSize, config_.client_lr, client.rng);
           std::vector<float> update = nn::flatten_values(client.params);
           for (std::size_t i = 0; i < p_count; ++i) update[i] -= w_global[i];
           nn::clip_l2(update, config_.clip_norm);  // modification 2
@@ -134,7 +135,7 @@ std::vector<DpRoundStats> DpFedAvgTrainer::run(
     // (so the undone round's budget charge is not double-counted), and the
     // history row reports the budget this round spent.
     const double epsilon = config_.noise_multiplier > 0.0
-                               ? accountant_.epsilon(config_.delta)
+                               ? accountant_.epsilon(kDelta)
                                : std::numeric_limits<double>::infinity();
     // Health gate over the released model. The noisy release can contain
     // non-finite values if training blew up.

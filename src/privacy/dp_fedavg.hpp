@@ -26,11 +26,9 @@ struct DpFedAvgConfig {
   std::int64_t rounds = 40;
   double client_sample_prob = 0.5;  ///< p: independent selection probability
   std::int64_t local_epochs = 5;
-  std::int64_t batch_size = 16;
   double client_lr = 0.1;
   double clip_norm = 5.0;           ///< S: per-update L2 clip
   double noise_multiplier = 1.0;    ///< z
-  double delta = 1e-5;
   std::uint64_t seed = 19;
   /// Crash-safe checkpointing + health rollback (ckpt::TrainerGuard). The
   /// checkpoint carries the moments accountant, so a resumed run keeps the
@@ -43,7 +41,7 @@ struct DpRoundStats {
   std::int64_t round = 0;
   double test_accuracy = 0.0;
   double train_loss = 0.0;  ///< mean local loss over delivered clients
-  double epsilon = 0.0;     ///< cumulative, at config.delta
+  double epsilon = 0.0;     ///< cumulative, at kDelta
   /// Fault-injection fields (zero without an attached SimNetwork).
   std::int64_t clients_selected = 0;
   std::int64_t clients_delivered = 0;

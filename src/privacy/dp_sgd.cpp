@@ -138,7 +138,7 @@ DpSgdResult train_dp_sgd(nn::Sequential& model,
   result.rollbacks = guard.rollbacks();
   result.test_accuracy = federated::evaluate_accuracy(model, test);
   result.epsilon = config.noise_multiplier > 0.0
-                       ? accountant.epsilon(config.delta)
+                       ? accountant.epsilon(kDelta)
                        : std::numeric_limits<double>::infinity();
   MDL_OBS_GAUGE_SET("dp_sgd.test_accuracy", result.test_accuracy);
   MDL_OBS_GAUGE_SET("dp_sgd.epsilon", result.epsilon);

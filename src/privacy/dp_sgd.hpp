@@ -22,7 +22,6 @@ struct DpSgdConfig {
   double lr = 0.1;
   double clip_norm = 1.0;         ///< per-example L2 clip C
   double noise_multiplier = 1.0;  ///< z; sigma = z * C
-  double delta = 1e-5;
   std::uint64_t seed = 13;
   /// Crash-safe checkpointing + health rollback at epoch granularity
   /// (ckpt::TrainerGuard). The checkpoint carries the moments accountant,
@@ -33,7 +32,7 @@ struct DpSgdConfig {
 
 struct DpSgdResult {
   double test_accuracy = 0.0;
-  double epsilon = 0.0;           ///< at config.delta, via moments accountant
+  double epsilon = 0.0;           ///< at kDelta, via moments accountant
   std::int64_t steps = 0;
   std::int64_t rollbacks = 0;     ///< health-guard rollbacks taken
 };

@@ -6,6 +6,10 @@
 
 namespace mdl::privacy {
 
+// Teachers and the student train at one fixed SGD setting.
+constexpr std::int64_t kBatchSize = 16;
+constexpr double kLr = 0.1;
+
 PateEnsemble::PateEnsemble(federated::ModelFactory factory,
                            const data::TabularDataset& sensitive,
                            PateConfig config)
@@ -23,7 +27,7 @@ PateEnsemble::PateEnsemble(federated::ModelFactory factory,
     auto teacher = factory(rng_);
     Rng train_rng = rng_.fork();
     federated::local_sgd(*teacher, shard, config_.teacher_epochs,
-                         config_.batch_size, config_.lr, train_rng);
+                         kBatchSize, kLr, train_rng);
     teacher->set_training(false);
     teachers_.push_back(std::move(teacher));
   }
@@ -86,7 +90,7 @@ PateResult run_pate(federated::ModelFactory factory,
   auto student = factory(student_rng);
   Rng train_rng(config.seed + 2);
   federated::local_sgd(*student, labeled, config.teacher_epochs,
-                       config.batch_size, config.lr, train_rng);
+                       kBatchSize, kLr, train_rng);
   result.student_accuracy = federated::evaluate_accuracy(*student, test);
   return result;
 }

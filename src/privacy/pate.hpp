@@ -22,8 +22,6 @@ namespace mdl::privacy {
 struct PateConfig {
   std::size_t num_teachers = 10;
   std::int64_t teacher_epochs = 10;
-  std::int64_t batch_size = 16;
-  double lr = 0.1;
   /// Laplace scale b on each vote count; per-query epsilon = 2 / b.
   double noise_scale = 2.0;
   std::uint64_t seed = 37;

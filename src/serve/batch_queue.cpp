@@ -8,18 +8,6 @@
 
 namespace mdl::serve {
 
-namespace {
-
-double us_between(std::chrono::steady_clock::time_point from,
-                  std::chrono::steady_clock::time_point to) {
-  return static_cast<double>(
-             std::chrono::duration_cast<std::chrono::nanoseconds>(to - from)
-                 .count()) /
-         1e3;
-}
-
-}  // namespace
-
 BatchQueue::BatchQueue(BatchQueueConfig config) : config_(config) {
   MDL_CHECK(config_.max_batch_size > 0, "max_batch_size must be positive");
   MDL_CHECK(config_.max_queue_depth >= 0, "max_queue_depth must be >= 0");

@@ -48,14 +48,28 @@ struct PendingRequest {
   std::chrono::steady_clock::time_point deadline;
 };
 
+/// Microseconds from `from` to `to`: the one clock conversion every serve
+/// timing field uses.
+inline double us_between(std::chrono::steady_clock::time_point from,
+                         std::chrono::steady_clock::time_point to) {
+  return static_cast<double>(
+             std::chrono::duration_cast<std::chrono::nanoseconds>(to - from)
+                 .count()) /
+         1e3;
+}
+
+/// The queue limits; ServeConfig extends this, so the server's settings are
+/// the queue's settings.
 struct BatchQueueConfig {
-  /// Cap on the requests in one batch.
+  /// Cap on the requests in one batch. The executor takes whatever
+  /// same-kind FIFO prefix is queued when it is free.
   std::int64_t max_batch_size = 8;
-  /// Queued requests (all kinds) beyond which pushes are refused as
-  /// overload. 0 = unbounded (the pre-admission-control behavior).
+  /// Admission control: queued requests (all kinds) beyond this are refused
+  /// as kRejectedOverload. 0 = unbounded.
   std::int64_t max_queue_depth = 0;
-  /// Per-kind depth quota (indexed by RequestKind); 0 = no quota. Stops one
-  /// request kind from starving the other out of the shared queue.
+  /// Per-kind depth quota, indexed by RequestKind (kMultiView, kSplit);
+  /// 0 = no quota. Stops one request kind from starving the other out of
+  /// the shared queue.
   std::int64_t kind_quota[2] = {0, 0};
 };
 

@@ -71,10 +71,6 @@ enum class RequestStatus {
 
 const char* to_string(RequestStatus s);
 
-/// True for the statuses that mean "the request never reached the model"
-/// (a client may retry these); false for kOk and kError.
-bool is_rejection(RequestStatus s);
-
 struct InferenceResult {
   RequestStatus status = RequestStatus::kOk;
   /// Echoes the request's (possibly auto-assigned) id, on every status —

@@ -18,13 +18,6 @@ using Clock = std::chrono::steady_clock;
 /// restart) — a trace dump never shows two requests sharing a track.
 std::atomic<std::uint64_t> g_next_request_id{1};
 
-double us_between(Clock::time_point from, Clock::time_point to) {
-  return static_cast<double>(
-             std::chrono::duration_cast<std::chrono::nanoseconds>(to - from)
-                 .count()) /
-         1e3;
-}
-
 void observe_occupancy(std::int64_t batch_size) {
   static obs::Histogram& hist = obs::MetricsRegistry::global().histogram(
       "serve.batch_occupancy", obs::Histogram::linear_bounds(1.0, 1.0, 32));
@@ -45,29 +38,13 @@ const char* to_string(RequestStatus s) {
   return "unknown";
 }
 
-bool is_rejection(RequestStatus s) {
-  switch (s) {
-    case RequestStatus::kShedDeadline:
-    case RequestStatus::kRejectedShutdown:
-    case RequestStatus::kRejectedOverload:
-    case RequestStatus::kRejectedCircuit:
-      return true;
-    case RequestStatus::kOk:
-    case RequestStatus::kError:
-      return false;
-  }
-  return false;
-}
-
 InferenceServer::InferenceServer(const apps::MultiViewModel* multiview,
                                  const split::SplitInference* split,
                                  ServeConfig config)
     : multiview_(multiview),
       split_(split),
       config_(config),
-      queue_({config.max_batch_size,
-              config.max_queue_depth,
-              {config.kind_quota[0], config.kind_quota[1]}}),
+      queue_(config),
       breaker_(config.breaker),
       injector_(config.fault) {
   MDL_CHECK(multiview_ != nullptr || split_ != nullptr,

@@ -41,18 +41,11 @@
 
 namespace mdl::serve {
 
-struct ServeConfig {
-  /// Cap on the requests in one batch. The executor takes whatever
-  /// same-kind FIFO prefix is queued when it is free (see BatchQueue).
-  std::int64_t max_batch_size = 8;
+/// The queue limits (max_batch_size, max_queue_depth, kind_quota) come
+/// from BatchQueueConfig; the rest is the server's own.
+struct ServeConfig : BatchQueueConfig {
   /// Deadline applied to requests that don't set one; 0 = no deadline.
   std::int64_t default_deadline_us = 0;
-  /// Admission control: queued requests beyond this are rejected as
-  /// kRejectedOverload. 0 = unbounded.
-  std::int64_t max_queue_depth = 0;
-  /// Per-kind queue quota, indexed by RequestKind (kMultiView, kSplit);
-  /// 0 = no quota for that kind.
-  std::int64_t kind_quota[2] = {0, 0};
   /// Server-side perturbation for kSplit requests (Fig. 3 privacy path).
   split::PerturbConfig perturb;
   /// Circuit breaker guarding the executor (disabled by default).

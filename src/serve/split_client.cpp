@@ -14,25 +14,20 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double us_since(Clock::time_point start) {
-  return static_cast<double>(
-             std::chrono::duration_cast<std::chrono::nanoseconds>(
-                 Clock::now() - start)
-                 .count()) /
-         1e3;
-}
+/// Latency budget handed to DegradationLadder::pick.
+constexpr double kFallbackLatencyBudgetS = 0.05;
+
+/// Whole microseconds in `s` seconds: the server's deadline and the sleep
+/// clock both count in us.
+std::int64_t to_us(double s) { return std::llround(s * 1e6); }
 
 }  // namespace
 
 void SplitClientConfig::validate() const {
-  MDL_CHECK(timeout_us > 0, "timeout_us must be positive");
-  MDL_CHECK(max_attempts >= 1, "max_attempts must be >= 1");
+  retry.validate();
+  MDL_CHECK(to_us(retry.timeout_s) > 0, "retry.timeout_s must be >= 1 us");
   MDL_CHECK(retry_budget >= 0, "retry_budget must be >= 0");
-  MDL_CHECK(backoff_base_us >= 0, "backoff_base_us must be >= 0");
-  MDL_CHECK(backoff_mult >= 1.0, "backoff_mult must be >= 1");
   MDL_CHECK(jitter >= 0.0 && jitter < 1.0, "jitter must be in [0, 1)");
-  MDL_CHECK(fallback_latency_budget_s > 0.0,
-            "fallback_latency_budget_s must be positive");
 }
 
 SplitClient::SplitClient(InferenceServer* server,
@@ -53,8 +48,9 @@ SplitClient::SplitClient(InferenceServer* server,
 }
 
 std::int64_t SplitClient::backoff_us(std::int64_t k) {
-  const double base = static_cast<double>(config_.backoff_base_us) *
-                      std::pow(config_.backoff_mult, static_cast<double>(k));
+  const double base =
+      static_cast<double>(to_us(config_.retry.backoff_base_s)) *
+      std::pow(config_.retry.backoff_mult, static_cast<double>(k));
   const double jittered =
       base * rng_.uniform(1.0 - config_.jitter, 1.0 + config_.jitter);
   return static_cast<std::int64_t>(jittered);
@@ -65,7 +61,7 @@ ClientOutcome SplitClient::fallback(const Tensor& rep, ClientOutcome out) {
             "cloud path exhausted (" << out.status_detail
                                      << ") and no degradation ladder");
   const std::size_t stage =
-      ladder_->pick(planner_, config_.fallback_latency_budget_s);
+      ladder_->pick(planner_, kFallbackLatencyBudgetS);
   MDL_OBS_COUNTER_ADD("client.fallbacks", 1);
   MDL_OBS_RING_EVENT(obs::EventType::kInstant, "client.fallback", 0,
                      "stage", static_cast<double>(stage), "cloud_status",
@@ -90,7 +86,8 @@ ClientOutcome SplitClient::infer_representation(const Tensor& rep,
   MDL_OBS_COUNTER_ADD("client.requests", 1);
 
   ClientOutcome out;
-  for (std::int64_t attempt = 0; attempt < config_.max_attempts; ++attempt) {
+  for (std::int64_t attempt = 0; attempt < config_.retry.max_attempts;
+       ++attempt) {
     if (attempt > 0) {
       if (budget_left_ <= 0) {
         // Budget gone: stop converting failures into load, degrade instead.
@@ -111,7 +108,7 @@ ClientOutcome SplitClient::infer_representation(const Tensor& rep,
     req.kind = RequestKind::kSplit;
     req.representation = rep;
     req.noise_seed = noise_seed;
-    req.deadline_us = config_.timeout_us;
+    req.deadline_us = to_us(config_.retry.timeout_s);
     InferenceResult r = server_->submit(std::move(req)).get();
     ++out.attempts;
     out.retries = out.attempts - 1;
@@ -123,7 +120,7 @@ ClientOutcome SplitClient::infer_representation(const Tensor& rep,
       out.logits = std::move(r.logits);
       out.argmax = r.argmax;
       out.status_detail.clear();
-      out.latency_us = us_since(start);
+      out.latency_us = us_between(start, Clock::now());
       MDL_OBS_COUNTER_ADD("client.cloud_ok", 1);
       return out;
     }
@@ -136,7 +133,7 @@ ClientOutcome SplitClient::infer_representation(const Tensor& rep,
   }
 
   out = fallback(rep, std::move(out));
-  out.latency_us = us_since(start);
+  out.latency_us = us_between(start, Clock::now());
   return out;
 }
 

@@ -37,24 +37,21 @@
 namespace mdl::serve {
 
 struct SplitClientConfig {
-  /// Per-attempt deadline handed to the server (deadline_us on the
-  /// request); a shed attempt counts as a timeout.
-  std::int64_t timeout_us = 20'000;
-  /// Attempts per request (1 = no retries).
-  std::int64_t max_attempts = 3;
+  /// Attempts per request, the per-attempt deadline handed to the server
+  /// (timeout_s, sent as the request's deadline_us; a shed attempt counts
+  /// as a timeout) and the backoff before retry k (0-based):
+  /// backoff_base_s * backoff_mult^k. The same policy is what
+  /// mobile::InferencePlanner::split_degraded prices.
+  mobile::RetryPolicy retry;
   /// Client-wide retry budget: total retries this client may spend across
   /// its lifetime. 0 disables retries outright; exhausted budget sends
   /// failures straight down the ladder.
   std::int64_t retry_budget = 1'000'000;
-  /// Backoff before retry k (0-based): base * mult^k, each multiplied by a
-  /// uniform [1 - jitter, 1 + jitter) draw from the seeded Rng.
-  std::int64_t backoff_base_us = 500;
-  double backoff_mult = 2.0;
+  /// Each backoff is multiplied by a uniform [1 - jitter, 1 + jitter) draw
+  /// from the seeded Rng.
   double jitter = 0.5;
   /// Seeds the jitter stream (deterministic backoff schedule).
   std::uint64_t seed = 1;
-  /// Latency budget handed to DegradationLadder::pick.
-  double fallback_latency_budget_s = 0.05;
 
   /// Throws mdl::Error if any knob is out of range.
   void validate() const;

@@ -7,6 +7,10 @@
 
 namespace mdl::split {
 
+constexpr std::size_t kBatchSize = 32;
+constexpr double kLr = 0.05;          ///< Adam runs at kLr * 0.1
+constexpr std::int64_t kHidden = 64;  ///< attacker decoder capacity
+
 ReconstructionReport reconstruction_attack(
     SplitInference& system, const data::TabularDataset& attacker_data,
     const data::TabularDataset& victim_data, const PerturbConfig& perturb,
@@ -20,18 +24,17 @@ ReconstructionReport reconstruction_attack(
   const std::int64_t rep_dim = system.representation_dim(input_dim);
 
   nn::Sequential decoder;
-  decoder.emplace<nn::Linear>(rep_dim, config.hidden, rng);
+  decoder.emplace<nn::Linear>(rep_dim, kHidden, rng);
   decoder.emplace<nn::ReLU>();
-  decoder.emplace<nn::Linear>(config.hidden, input_dim, rng);
-  nn::Adam optimizer(decoder.parameters(), config.lr * 0.1);
+  decoder.emplace<nn::Linear>(kHidden, input_dim, rng);
+  nn::Adam optimizer(decoder.parameters(), kLr * 0.1);
   nn::MeanSquaredError mse;
 
   const Tensor clean_rep =
       system.local_representation(attacker_data.features);
   for (std::int64_t epoch = 0; epoch < config.epochs; ++epoch) {
     const auto batches = data::minibatch_indices(
-        static_cast<std::size_t>(attacker_data.size()),
-        static_cast<std::size_t>(config.batch_size), rng);
+        static_cast<std::size_t>(attacker_data.size()), kBatchSize, rng);
     for (const auto& batch : batches) {
       // The attacker only ever sees what the phone transmits.
       const Tensor reps =

@@ -22,9 +22,6 @@ struct ReconstructionReport {
 
 struct AttackConfig {
   std::int64_t epochs = 30;
-  std::int64_t batch_size = 32;
-  double lr = 0.05;
-  std::int64_t hidden = 64;  ///< attacker decoder capacity
   std::uint64_t seed = 43;
 };
 

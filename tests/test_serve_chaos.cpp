@@ -407,9 +407,9 @@ TEST(ChaosBreakerIntegration, TripsOnFailuresThenRecoversViaProbe) {
 
 SplitClientConfig fast_client_config() {
   SplitClientConfig cfg;
-  cfg.timeout_us = 1'000'000;  // generous: tests control failures directly
-  cfg.max_attempts = 3;
-  cfg.backoff_base_us = 0;  // keep retries instant under TSan
+  cfg.retry.timeout_s = 1.0;  // generous: tests control failures directly
+  cfg.retry.max_attempts = 3;
+  cfg.retry.backoff_base_s = 0.0;  // keep retries instant under TSan
   cfg.jitter = 0.0;
   cfg.seed = 9;
   return cfg;
@@ -554,6 +554,44 @@ TEST(ChaosClient, CountersReconcileExactly) {
   // At 70% injected batch failure and 3 attempts both paths appear.
   EXPECT_GT(cloud, 0);
   EXPECT_GT(fallback, 0);
+}
+
+// The client executes the same mobile::RetryPolicy that
+// InferencePlanner::split_degraded prices: at the two failure rates where
+// the model's expectations are exact, every request matches them.
+TEST(ChaosClient, AttemptsMatchRetryPolicyModel) {
+  Rng rng(41);
+  split::SplitInference split_model = make_split(rng);
+  const split::DegradationLadder ladder = make_ladder(split_model);
+  SplitClientConfig ccfg = fast_client_config();
+  ccfg.retry.max_attempts = 4;  // not the default, so the client must read it
+  const mobile::RetryPolicy& retry = ccfg.retry;
+
+  for (const double fail_prob : {0.0, 1.0}) {
+    ServeConfig cfg;
+    cfg.fault.seed = 21;
+    cfg.fault.batch_fail_prob = fail_prob;
+    InferenceServer server(nullptr, &split_model, cfg);
+    SplitClient client(&server, &split_model, &ladder, make_planner(), ccfg);
+
+    constexpr int kN = 6;
+    int fallbacks = 0;
+    for (int i = 0; i < kN; ++i) {
+      const ClientOutcome out =
+          client.infer(prop::gen_tensor(rng, {1, 6}, 2.0));
+      EXPECT_EQ(static_cast<double>(out.attempts),
+                retry.expected_attempts(fail_prob))
+          << "fail_prob " << fail_prob;
+      fallbacks += out.served_by == ServedBy::kFallback ? 1 : 0;
+    }
+    EXPECT_EQ(static_cast<double>(fallbacks) / kN,
+              retry.fallback_prob(fail_prob))
+        << "fail_prob " << fail_prob;
+  }
+  EXPECT_EQ(retry.expected_attempts(1.0), 4.0);
+  EXPECT_EQ(retry.fallback_prob(1.0), 1.0);
+  EXPECT_EQ(retry.expected_attempts(0.0), 1.0);
+  EXPECT_EQ(retry.fallback_prob(0.0), 0.0);
 }
 
 // ---------------------------------------------------------------------------
